@@ -1,10 +1,18 @@
 #include "audit/structure_model.h"
 
 #include <algorithm>
+#include <charconv>
+#include <climits>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <istream>
+#include <optional>
 #include <ostream>
-#include <sstream>
+#include <string_view>
+#include <type_traits>
 
 #include "audit/error_confidence.h"
 #include "common/parallel.h"
@@ -20,21 +28,198 @@ std::string FullPrecision(double v) {
   return buf;
 }
 
+std::string AttrName(const Schema& schema, int attr) {
+  return "'" + schema.attribute(static_cast<size_t>(attr)).name + "'";
+}
+
+/// Class index of the cell (row, class attribute); ClassEncoder::Encode
+/// over the typed columns.
+int ObservedClass(const ClassEncoder& encoder, const Table& data,
+                  size_t row) {
+  const auto attr = static_cast<size_t>(encoder.attr());
+  if (data.is_null(row, attr)) return -1;
+  if (encoder.type() == DataType::kNominal) return data.code_at(row, attr);
+  return encoder.EncodeOrdered(data.ordered_at(row, attr));
+}
+
+std::vector<DataType> AttributeTypes(const Schema& schema) {
+  std::vector<DataType> types;
+  for (size_t a = 0; a < schema.num_attributes(); ++a) {
+    types.push_back(schema.attribute(a).type);
+  }
+  return types;
+}
+
 }  // namespace
+
+// ---------------------------------------------------------------------------
+// Compiled flat trees
+
+Status StructureModel::FlatTree::Insert(const Schema& schema,
+                                        const AttributeRuleSet& set,
+                                        size_t index) {
+  using Kind = SplitCondition::Kind;
+  const StructureRule& rule = set.rules[index];
+  size_t node = 0;
+  for (size_t depth = 0; depth < rule.conditions.size(); ++depth) {
+    const SplitCondition& cond = rule.conditions[depth];
+    if (cond.attr < 0 ||
+        static_cast<size_t>(cond.attr) >= schema.num_attributes()) {
+      return Status::InvalidArgument("condition attribute " +
+                                     std::to_string(cond.attr) +
+                                     " out of range");
+    }
+    const AttributeDef& def = schema.attribute(static_cast<size_t>(cond.attr));
+    const bool nominal = def.type == DataType::kNominal;
+    const auto num_categories = static_cast<int32_t>(def.categories.size());
+    if (cond.kind == Kind::kCategory) {
+      if (!nominal) {
+        return Status::InvalidArgument("category condition on ordered "
+                                       "attribute " +
+                                       AttrName(schema, cond.attr));
+      }
+      if (cond.category < 0 || cond.category >= num_categories) {
+        return Status::InvalidArgument(
+            "category " + std::to_string(cond.category) +
+            " outside the domain of " + AttrName(schema, cond.attr));
+      }
+    } else {
+      if (nominal) {
+        return Status::InvalidArgument("threshold condition on nominal "
+                                       "attribute " +
+                                       AttrName(schema, cond.attr));
+      }
+      if (std::isnan(cond.threshold)) {
+        return Status::InvalidArgument("NaN threshold");
+      }
+    }
+
+    const FlatNode::Kind split = cond.kind == Kind::kCategory
+                                     ? FlatNode::Kind::kCategory
+                                     : FlatNode::Kind::kOrdered;
+    FlatNode& at = nodes[node];
+    if (at.kind == FlatNode::Kind::kEmpty) {
+      at.kind = split;
+      at.attr = cond.attr;
+      if (split == FlatNode::Kind::kCategory) {
+        if (children.size() + static_cast<size_t>(num_categories) >
+            static_cast<size_t>(INT32_MAX)) {
+          return Status::InvalidArgument("too many category splits");
+        }
+        at.first = static_cast<int32_t>(children.size());
+        at.num_categories = num_categories;
+        children.resize(children.size() + static_cast<size_t>(num_categories),
+                        -1);
+      } else {
+        at.threshold = cond.threshold;
+      }
+    } else if (at.kind == FlatNode::Kind::kLeaf) {
+      return Status::InvalidArgument(
+          "not a decision tree: condition " + std::to_string(depth + 1) +
+          " extends a path an earlier rule already ends at");
+    } else if (at.kind != split || at.attr != cond.attr ||
+               (split == FlatNode::Kind::kOrdered &&
+                at.threshold != cond.threshold)) {
+      return Status::InvalidArgument(
+          "not a decision tree: condition " + std::to_string(depth + 1) +
+          " splits differently from an earlier rule with the same prefix");
+    }
+
+    int32_t* slot =
+        split == FlatNode::Kind::kCategory
+            ? &children[static_cast<size_t>(at.first + cond.category)]
+            : (cond.kind == Kind::kLessEq ? &at.le : &at.gt);
+    if (*slot < 0) {
+      if (nodes.size() >= static_cast<size_t>(INT32_MAX)) {
+        return Status::InvalidArgument("too many tree nodes");
+      }
+      *slot = static_cast<int32_t>(nodes.size());
+    }
+    node = static_cast<size_t>(*slot);
+    if (node == nodes.size()) nodes.emplace_back();  // invalidates at, slot
+  }
+
+  FlatNode& leaf = nodes[node];
+  if (leaf.kind == FlatNode::Kind::kLeaf) {
+    return Status::InvalidArgument(
+        "not a decision tree: duplicate leaf (an earlier rule has the same "
+        "conditions)");
+  }
+  if (leaf.kind != FlatNode::Kind::kEmpty) {
+    return Status::InvalidArgument(
+        "not a decision tree: rule ends at an inner node of earlier rules");
+  }
+  leaf.kind = FlatNode::Kind::kLeaf;
+  leaf.rule = static_cast<int32_t>(index);
+
+  // What the checker reports for a match, computed once per rule the way
+  // the rule scan computed it per record.
+  Prediction pred;
+  if (rule.support > 0.0) {
+    pred.support = rule.support;
+    pred.distribution.reserve(rule.class_counts.size());
+    for (double c : rule.class_counts) {
+      pred.distribution.push_back(c / rule.support);
+    }
+  }
+  predictions.resize(index + 1);
+  suggestions.resize(index + 1);
+  predictions[index] = std::move(pred);
+  suggestions[index] = set.encoder.Representative(rule.majority_class);
+  return Status::OK();
+}
+
+int32_t StructureModel::FlatTree::Find(const Table& data, size_t row) const {
+  size_t node = 0;
+  for (;;) {
+    const FlatNode& at = nodes[node];
+    int32_t child = -1;
+    switch (at.kind) {
+      case FlatNode::Kind::kEmpty:
+        return -1;
+      case FlatNode::Kind::kLeaf:
+        return at.rule;
+      case FlatNode::Kind::kCategory: {
+        const auto attr = static_cast<size_t>(at.attr);
+        if (data.is_null(row, attr)) return -1;
+        const int32_t code = data.code_at(row, attr);
+        if (code < 0 || code >= at.num_categories) return -1;
+        child = children[static_cast<size_t>(at.first + code)];
+        break;
+      }
+      case FlatNode::Kind::kOrdered: {
+        const auto attr = static_cast<size_t>(at.attr);
+        if (data.is_null(row, attr)) return -1;
+        child = data.ordered_at(row, attr) <= at.threshold ? at.le : at.gt;
+        break;
+      }
+    }
+    if (child < 0) return -1;
+    node = static_cast<size_t>(child);
+  }
+}
 
 StructureModel StructureModel::FromAuditModel(const AuditModel& model,
                                               const Schema& schema,
                                               bool drop_useless) {
-  (void)schema;
   StructureModel out;
+  out.attr_types_ = AttributeTypes(schema);
   for (const AttributeModel& am : model.models()) {
     AttributeRuleSet set;
     set.class_attr = am.class_attr;
     set.encoder = am.encoder;
     set.rules = ExtractRules(am, drop_useless);
-    if (!set.rules.empty()) {
-      out.rule_sets_.push_back(std::move(set));
+    if (set.rules.empty()) continue;
+    FlatTree tree;
+    for (size_t i = 0; i < set.rules.size(); ++i) {
+      // C4.5 paths over the schema the tree was induced on always form
+      // one tree; a failure here is a bug in rule extraction.
+      const Status inserted = tree.Insert(schema, set, i);
+      DQ_DCHECK(inserted.ok());
+      (void)inserted;
     }
+    out.rule_sets_.push_back(std::move(set));
+    out.trees_.push_back(std::move(tree));
   }
   return out;
 }
@@ -47,6 +232,10 @@ size_t StructureModel::TotalRules() const {
 
 Result<AuditReport> StructureModel::Check(const Table& data,
                                           const AuditorConfig& config) const {
+  if (!trees_.empty() && AttributeTypes(data.schema()) != attr_types_) {
+    return Status::InvalidArgument(
+        "table schema does not match the structure model's schema");
+  }
   AuditReport report;
   const size_t n = data.num_rows();
   report.record_confidence.assign(n, 0.0);
@@ -57,13 +246,36 @@ Result<AuditReport> StructureModel::Check(const Table& data,
 
   // Records are independent: chunk rows across the pool into pre-assigned
   // slots, then build the bit-packed flags and the ranked list serially so
-  // the report matches a serial run byte for byte.
+  // the report matches a serial run byte for byte. Per record, the
+  // attribute models are visited in model order and a strictly larger
+  // confidence wins (Definition 8's maximum, first model on ties).
   ParallelFor(ResolveThreadCount(config.num_threads), n, [&](size_t r) {
-    const RecordVerdict verdict = CheckRecord(data.row(r), config);
-    report.record_confidence[r] = verdict.error_confidence;
-    report.record_attr[r] = verdict.attr;
-    report.record_suggestion[r] = verdict.suggestion;
-    report.record_support[r] = verdict.support;
+    double best = 0.0;
+    int best_attr = -1;
+    const Value* suggestion = nullptr;
+    double support = 0.0;
+    for (size_t s = 0; s < trees_.size(); ++s) {
+      const FlatTree& tree = trees_[s];
+      const int32_t hit = tree.Find(data, r);
+      if (hit < 0) continue;
+      const auto rule = static_cast<size_t>(hit);
+      const Prediction& pred = tree.predictions[rule];
+      if (pred.support <= 0.0) continue;
+      const AttributeRuleSet& set = rule_sets_[s];
+      const double conf =
+          ErrorConfidence(pred, ObservedClass(set.encoder, data, r),
+                          config.confidence_level, config.flag_null_values);
+      if (conf > best) {
+        best = conf;
+        best_attr = set.class_attr;
+        suggestion = &tree.suggestions[rule];
+        support = pred.support;
+      }
+    }
+    report.record_confidence[r] = best;
+    report.record_attr[r] = best_attr;
+    if (suggestion != nullptr) report.record_suggestion[r] = *suggestion;
+    report.record_support[r] = support;
   });
   for (size_t r = 0; r < n; ++r) {
     const int attr = report.record_attr[r];
@@ -86,43 +298,6 @@ Result<AuditReport> StructureModel::Check(const Table& data,
                      return a.error_confidence > b.error_confidence;
                    });
   return report;
-}
-
-StructureModel::RecordVerdict StructureModel::CheckRecord(
-    const Row& row, const AuditorConfig& config) const {
-  RecordVerdict verdict;
-  for (const AttributeRuleSet& set : rule_sets_) {
-    // Tree paths are mutually exclusive: at most one rule matches.
-    const StructureRule* matched = nullptr;
-    for (const StructureRule& rule : set.rules) {
-      if (rule.Matches(row)) {
-        matched = &rule;
-        break;
-      }
-    }
-    if (matched == nullptr || matched->support <= 0.0) continue;
-
-    Prediction pred;
-    pred.support = matched->support;
-    pred.distribution.reserve(matched->class_counts.size());
-    for (double c : matched->class_counts) {
-      pred.distribution.push_back(c / matched->support);
-    }
-    const int observed =
-        set.encoder.Encode(row[static_cast<size_t>(set.class_attr)]);
-    const double conf = ErrorConfidence(pred, observed,
-                                        config.confidence_level,
-                                        config.flag_null_values);
-    if (conf > verdict.error_confidence) {
-      verdict.error_confidence = conf;
-      verdict.attr = set.class_attr;
-      verdict.suggestion = set.encoder.Representative(matched->majority_class);
-      verdict.support = matched->support;
-    }
-  }
-  verdict.suspicious = verdict.attr >= 0 &&
-                       verdict.error_confidence >= config.min_error_confidence;
-  return verdict;
 }
 
 // ---------------------------------------------------------------------------
@@ -186,129 +361,258 @@ Status ModelParseError(size_t line_no, const std::string& what) {
                          std::to_string(line_no) + ": " + what);
 }
 
-}  // namespace
+/// The shortest possible condition line, "cond 0 le 0\n": a rule cannot
+/// announce more conditions than the remaining bytes could hold.
+constexpr size_t kMinCondLineBytes = 12;
 
-Result<StructureModel> StructureModel::Deserialize(const Schema& schema,
-                                                   std::istream* in) {
-  StructureModel model;
-  std::string line;
-  size_t line_no = 0;
+/// Non-blank lines of an in-memory model, numbered from 1; a trailing CR
+/// is dropped.
+class LineCursor {
+ public:
+  explicit LineCursor(std::string_view text) : rest_(text) {}
 
-  auto next_line = [&]() -> bool {
-    while (std::getline(*in, line)) {
-      ++line_no;
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      if (!TrimWhitespace(line).empty()) return true;
+  bool Next() {
+    while (!rest_.empty()) {
+      const size_t end = rest_.find('\n');
+      line_ = rest_.substr(0, end);
+      rest_.remove_prefix(end == std::string_view::npos ? rest_.size()
+                                                        : end + 1);
+      ++line_no_;
+      if (!line_.empty() && line_.back() == '\r') line_.remove_suffix(1);
+      if (!TrimWhitespace(line_).empty()) return true;
     }
     return false;
-  };
+  }
+  std::string_view line() const { return line_; }
+  size_t line_no() const { return line_no_; }
+  /// Bytes after the current line.
+  size_t remaining() const { return rest_.size(); }
 
-  if (!next_line() || line != "dqmodel v1") {
-    return ModelParseError(line_no, "missing 'dqmodel v1' header");
+ private:
+  std::string_view rest_;
+  std::string_view line_;
+  size_t line_no_ = 0;
+};
+
+/// Whitespace-separated tokens of one line, parsed with std::from_chars.
+class Tokens {
+ public:
+  explicit Tokens(std::string_view line) : rest_(line) {}
+
+  bool Word(std::string_view* out) {
+    SkipSpace();
+    size_t end = 0;
+    while (end < rest_.size() && !IsSpace(rest_[end])) ++end;
+    if (end == 0) return false;
+    *out = rest_.substr(0, end);
+    rest_.remove_prefix(end);
+    return true;
   }
 
-  AttributeRuleSet* current = nullptr;
-  while (next_line()) {
-    std::istringstream ls(line);
-    std::string tag;
-    ls >> tag;
+  /// An integer, or a finite double (every number the writer emits is).
+  template <typename T>
+  bool Number(T* out) {
+    std::string_view word;
+    if (!Word(&word)) return false;
+    T value{};
+    const auto [ptr, ec] =
+        std::from_chars(word.data(), word.data() + word.size(), value);
+    if (ec != std::errc() || ptr != word.data() + word.size()) return false;
+    if constexpr (std::is_floating_point_v<T>) {
+      if (!std::isfinite(value)) return false;
+    }
+    *out = value;
+    return true;
+  }
+
+  /// "N v1 ... vN"; N is bounded by what the rest of the line can hold
+  /// (each value takes a separator and a digit) before anything is
+  /// allocated.
+  bool CountedDoubles(std::vector<double>* out) {
+    size_t count = 0;
+    if (!Number(&count) || count > rest_.size() / 2) return false;
+    out->resize(count);
+    for (double& v : *out) {
+      if (!Number(&v)) return false;
+    }
+    return true;
+  }
+
+  bool Done() {
+    SkipSpace();
+    return rest_.empty();
+  }
+
+ private:
+  static bool IsSpace(char c) {
+    return c == ' ' || c == '\t' || c == '\r' || c == '\v' || c == '\f';
+  }
+  void SkipSpace() {
+    size_t n = 0;
+    while (n < rest_.size() && IsSpace(rest_[n])) ++n;
+    rest_.remove_prefix(n);
+  }
+
+  std::string_view rest_;
+};
+
+/// The rest of `in`; `size_hint` (the file size, when known) sizes the
+/// buffer once instead of growing it by doubling.
+Result<std::string> ReadAll(std::istream* in, uintmax_t size_hint) {
+  std::string text;
+  text.reserve(static_cast<size_t>(size_hint));
+  char buf[1 << 16];
+  while (in->read(buf, sizeof(buf)) || in->gcount() > 0) {
+    text.append(buf, static_cast<size_t>(in->gcount()));
+  }
+  if (in->bad()) return Status::IOError("stream read failed");
+  return text;
+}
+
+}  // namespace
+
+Result<StructureModel> StructureModel::Parse(const Schema& schema,
+                                             std::string_view text) {
+  StructureModel model;
+  model.attr_types_ = AttributeTypes(schema);
+  LineCursor lines(text);
+  if (!lines.Next() || lines.line() != "dqmodel v1") {
+    return ModelParseError(lines.line_no(), "missing 'dqmodel v1' header");
+  }
+
+  while (lines.Next()) {
+    const size_t line_no = lines.line_no();
+    Tokens tok(lines.line());
+    std::string_view tag;
+    tok.Word(&tag);  // the line is not blank
     if (tag == "end") {
+      if (!tok.Done()) return ModelParseError(line_no, "trailing data");
       return model;
     }
     if (tag == "attrset") {
       int attr = -1;
-      std::string kind;
-      ls >> attr >> kind;
-      if (!ls) return ModelParseError(line_no, "malformed attrset");
+      std::string_view kind;
+      if (!tok.Number(&attr) || !tok.Word(&kind)) {
+        return ModelParseError(line_no, "malformed attrset");
+      }
       std::optional<EqualFrequencyDiscretizer> disc;
       if (kind == "discretized") {
-        size_t ncuts = 0;
-        ls >> ncuts;
-        std::vector<double> cuts(ncuts);
-        for (double& c : cuts) ls >> c;
-        size_t nreps = 0;
-        ls >> nreps;
-        std::vector<double> reps(nreps);
-        for (double& r : reps) ls >> r;
-        if (!ls) return ModelParseError(line_no, "malformed discretizer");
+        std::vector<double> cuts;
+        std::vector<double> reps;
+        if (!tok.CountedDoubles(&cuts) || !tok.CountedDoubles(&reps)) {
+          return ModelParseError(line_no, "malformed discretizer");
+        }
         auto built = EqualFrequencyDiscretizer::FromParts(std::move(cuts),
                                                           std::move(reps));
-        if (!built.ok()) return ModelParseError(line_no, built.status().message());
+        if (!built.ok()) {
+          return ModelParseError(line_no, built.status().message());
+        }
         disc = std::move(*built);
       } else if (kind != "nominal") {
-        return ModelParseError(line_no, "unknown encoder kind '" + kind + "'");
+        return ModelParseError(line_no,
+                               "unknown encoder kind '" + std::string(kind) +
+                                   "'");
       }
+      if (!tok.Done()) return ModelParseError(line_no, "trailing data");
       auto encoder = ClassEncoder::FromParts(schema, attr, std::move(disc));
-      if (!encoder.ok()) return ModelParseError(line_no, encoder.status().message());
+      if (!encoder.ok()) {
+        return ModelParseError(line_no, encoder.status().message());
+      }
       AttributeRuleSet set;
       set.class_attr = attr;
       set.encoder = std::move(*encoder);
       model.rule_sets_.push_back(std::move(set));
-      current = &model.rule_sets_.back();
+      model.trees_.emplace_back();
       continue;
     }
-    if (tag == "rule") {
-      if (current == nullptr) return ModelParseError(line_no, "rule before attrset");
-      StructureRule rule;
-      rule.class_attr = current->class_attr;
-      std::string counts_tag, conds_tag;
-      size_t ncounts = 0, nconds = 0;
-      ls >> rule.majority_class >> rule.support >> rule.purity >>
-          rule.expected_error_confidence >> counts_tag >> ncounts;
-      if (!ls || counts_tag != "counts") {
-        return ModelParseError(line_no, "malformed rule");
-      }
-      rule.class_counts.resize(ncounts);
-      for (double& c : rule.class_counts) ls >> c;
-      ls >> conds_tag >> nconds;
-      if (!ls || conds_tag != "conds") {
-        return ModelParseError(line_no, "malformed rule conditions count");
-      }
-      if (static_cast<int>(ncounts) !=
-          current->encoder.num_classes()) {
-        return ModelParseError(line_no, "class count arity mismatch");
-      }
-      for (size_t i = 0; i < nconds; ++i) {
-        if (!next_line()) return ModelParseError(line_no, "truncated conditions");
-        std::istringstream cs(line);
-        std::string cond_tag, op;
-        SplitCondition cond;
-        cs >> cond_tag >> cond.attr >> op;
-        if (!cs || cond_tag != "cond") {
-          return ModelParseError(line_no, "malformed cond");
-        }
-        if (cond.attr < 0 ||
-            static_cast<size_t>(cond.attr) >= schema.num_attributes()) {
-          return ModelParseError(line_no, "cond attribute out of range");
-        }
-        if (op == "cat") {
-          cond.kind = SplitCondition::Kind::kCategory;
-          cs >> cond.category;
-        } else if (op == "le") {
-          cond.kind = SplitCondition::Kind::kLessEq;
-          cs >> cond.threshold;
-        } else if (op == "gt") {
-          cond.kind = SplitCondition::Kind::kGreater;
-          cs >> cond.threshold;
-        } else {
-          return ModelParseError(line_no, "unknown cond op '" + op + "'");
-        }
-        if (!cs) return ModelParseError(line_no, "malformed cond operand");
-        rule.conditions.push_back(cond);
-      }
-      current->rules.push_back(std::move(rule));
-      continue;
+    if (tag != "rule") {
+      return ModelParseError(line_no,
+                             "unknown tag '" + std::string(tag) + "'");
     }
-    return ModelParseError(line_no, "unknown tag '" + tag + "'");
+
+    if (model.rule_sets_.empty()) {
+      return ModelParseError(line_no, "rule before attrset");
+    }
+    AttributeRuleSet& set = model.rule_sets_.back();
+    StructureRule rule;
+    rule.class_attr = set.class_attr;
+    std::string_view counts_tag;
+    if (!tok.Number(&rule.majority_class) || !tok.Number(&rule.support) ||
+        !tok.Number(&rule.purity) ||
+        !tok.Number(&rule.expected_error_confidence) ||
+        !tok.Word(&counts_tag) || counts_tag != "counts" ||
+        !tok.CountedDoubles(&rule.class_counts)) {
+      return ModelParseError(line_no, "malformed rule");
+    }
+    std::string_view conds_tag;
+    size_t nconds = 0;
+    if (!tok.Word(&conds_tag) || conds_tag != "conds" ||
+        !tok.Number(&nconds) || !tok.Done()) {
+      return ModelParseError(line_no, "malformed rule conditions count");
+    }
+    const int num_classes = set.encoder.num_classes();
+    if (rule.class_counts.size() != static_cast<size_t>(num_classes)) {
+      return ModelParseError(line_no, "class count arity mismatch");
+    }
+    if (rule.majority_class < 0 || rule.majority_class >= num_classes) {
+      return ModelParseError(line_no, "majority class out of range");
+    }
+    if (nconds > lines.remaining() / kMinCondLineBytes) {
+      return ModelParseError(line_no,
+                             "condition count exceeds the remaining input");
+    }
+    rule.conditions.reserve(nconds);
+    for (size_t i = 0; i < nconds; ++i) {
+      if (!lines.Next()) {
+        return ModelParseError(lines.line_no(), "truncated conditions");
+      }
+      Tokens cs(lines.line());
+      std::string_view cond_tag;
+      std::string_view op;
+      SplitCondition cond;
+      if (!cs.Word(&cond_tag) || cond_tag != "cond" ||
+          !cs.Number(&cond.attr) || !cs.Word(&op)) {
+        return ModelParseError(lines.line_no(), "malformed cond");
+      }
+      bool operand = false;
+      if (op == "cat") {
+        cond.kind = SplitCondition::Kind::kCategory;
+        operand = cs.Number(&cond.category);
+      } else if (op == "le" || op == "gt") {
+        cond.kind = op == "le" ? SplitCondition::Kind::kLessEq
+                               : SplitCondition::Kind::kGreater;
+        operand = cs.Number(&cond.threshold);
+      } else {
+        return ModelParseError(lines.line_no(),
+                               "unknown cond op '" + std::string(op) + "'");
+      }
+      if (!operand || !cs.Done()) {
+        return ModelParseError(lines.line_no(), "malformed cond operand");
+      }
+      rule.conditions.push_back(cond);
+    }
+    set.rules.push_back(std::move(rule));
+    Status inserted =
+        model.trees_.back().Insert(schema, set, set.rules.size() - 1);
+    if (!inserted.ok()) return ModelParseError(line_no, inserted.message());
   }
-  return ModelParseError(line_no, "missing 'end'");
+  return ModelParseError(lines.line_no(), "missing 'end'");
+}
+
+Result<StructureModel> StructureModel::Deserialize(const Schema& schema,
+                                                   std::istream* in) {
+  DQ_ASSIGN_OR_RETURN(std::string text, ReadAll(in, 0));
+  return Parse(schema, text);
 }
 
 Result<StructureModel> StructureModel::LoadFromFile(const Schema& schema,
                                                     const std::string& path) {
-  std::ifstream f(path);
+  std::ifstream f(path, std::ios::binary);
   if (!f) return Status::IOError("cannot open '" + path + "' for reading");
-  return Deserialize(schema, &f);
+  std::error_code ec;
+  const uintmax_t size = std::filesystem::file_size(path, ec);
+  DQ_ASSIGN_OR_RETURN(std::string text, ReadAll(&f, ec ? 0 : size));
+  return Parse(schema, text);
 }
 
 }  // namespace dq

@@ -10,16 +10,25 @@
 //
 // A StructureModel is built from an induced AuditModel (keeping only the
 // rules that can contribute to error detection), serializes to a plain-text
-// format, and checks tables without re-induction. Checking semantics match
-// the tree-based audit for records that reach a useful leaf with fully
-// known path attributes; records matching no exported rule (dropped-useless
-// leaves or null path values) are simply not flagged — precisely the rule
-// deletion of sec. 5.4.
+// format, and checks tables without re-induction.
+//
+// The rules of one attribute are the root-to-leaf paths of its decision
+// tree, so construction (FromAuditModel and Deserialize alike) compiles
+// them back into one flat node array per attribute. Check walks those
+// arrays over the Table's typed columns: O(tree depth) per attribute model
+// and record, with no Row materialization. The verdicts are exactly those
+// of first-match scanning with StructureRule::Matches: a null on any
+// visited split, a category with no child, or a leaf with zero support
+// matches nothing. Checking semantics therefore match the tree-based audit
+// for records that reach a useful leaf with fully known path attributes;
+// records matching no exported rule (dropped-useless leaves or null path
+// values) are simply not flagged — precisely the rule deletion of sec. 5.4.
 
 #ifndef DQ_AUDIT_STRUCTURE_MODEL_H_
 #define DQ_AUDIT_STRUCTURE_MODEL_H_
 
 #include <iosfwd>
+#include <string_view>
 #include <vector>
 
 #include "audit/auditor.h"
@@ -58,37 +67,67 @@ class StructureModel {
   const std::vector<AttributeRuleSet>& rule_sets() const { return rule_sets_; }
   size_t TotalRules() const;
 
-  /// \brief Deviation detection against the rule sets. Produces the same
-  /// report shape as Auditor::Audit; `config` supplies the minimal error
-  /// confidence, confidence level and null-flagging policy.
+  /// \brief Deviation detection against the compiled rule sets. Produces
+  /// the same report shape as Auditor::Audit; `config` supplies the minimal
+  /// error confidence, confidence level, null-flagging policy and thread
+  /// count. The report is identical for every thread count. Fails when
+  /// the table's attribute types differ from the model's schema.
   Result<AuditReport> Check(const Table& data,
                             const AuditorConfig& config) const;
-
-  /// \brief Verdict for a single incoming record (streaming load checks).
-  struct RecordVerdict {
-    bool suspicious = false;
-    double error_confidence = 0.0;
-    int attr = -1;        ///< winning attribute, -1 when nothing dissents
-    Value suggestion;     ///< proposed correction for that attribute
-    double support = 0.0;
-  };
-
-  /// \brief Checks one record without building a report; O(total rules).
-  RecordVerdict CheckRecord(const Row& row, const AuditorConfig& config) const;
 
   /// \brief Writes the model in the textual `dqmodel v1` format.
   Status SerializeTo(std::ostream* out) const;
   Status SaveToFile(const std::string& path) const;
 
   /// \brief Reads a `dqmodel v1` stream; the schema must match the one the
-  /// model was induced on (attribute indices and category lists).
+  /// model was induced on (attribute indices and category lists). Any
+  /// input yields a model or an error Status: counts are bounded by the
+  /// bytes that remain, indices by the schema, and each attribute's rules
+  /// must form one decision tree (docs/FORMATS.md).
   static Result<StructureModel> Deserialize(const Schema& schema,
                                             std::istream* in);
   static Result<StructureModel> LoadFromFile(const Schema& schema,
                                              const std::string& path);
 
  private:
+  /// One node of a compiled attribute tree. Children are node indices; -1
+  /// means the path was not exported (no rule matches below it).
+  struct FlatNode {
+    enum class Kind : uint8_t { kEmpty, kLeaf, kCategory, kOrdered };
+    Kind kind = Kind::kEmpty;
+    int32_t attr = -1;       ///< split attribute (kCategory / kOrdered)
+    int32_t rule = -1;       ///< kLeaf: index into AttributeRuleSet::rules
+    int32_t le = -1;         ///< kOrdered: child for value <= threshold
+    int32_t gt = -1;         ///< kOrdered: child for value > threshold
+    int32_t first = 0;       ///< kCategory: offset into FlatTree::children
+    int32_t num_categories = 0;  ///< kCategory: the schema domain size
+    double threshold = 0.0;  ///< kOrdered split point
+  };
+
+  /// One attribute's rules compiled into a flat tree, plus the per-rule
+  /// prediction and correction proposal the checker reports.
+  struct FlatTree {
+    std::vector<FlatNode> nodes{FlatNode{}};  ///< nodes[0] is the root
+    std::vector<int32_t> children;  ///< dense per-category child tables
+    std::vector<Prediction> predictions;  ///< per rule; support-normalized
+    std::vector<Value> suggestions;       ///< per rule; majority class value
+
+    /// Adds `set.rules[index]` as one root-to-leaf path. Fails when a
+    /// condition is outside the schema or the rules stop forming one tree.
+    Status Insert(const Schema& schema, const AttributeRuleSet& set,
+                  size_t index);
+    /// Rule matched by record `row`, or -1 when none matches.
+    int32_t Find(const Table& data, size_t row) const;
+  };
+
+  static Result<StructureModel> Parse(const Schema& schema,
+                                      std::string_view text);
+
   std::vector<AttributeRuleSet> rule_sets_;
+  std::vector<FlatTree> trees_;  ///< parallel to rule_sets_
+  /// Attribute types of the schema the trees were compiled against; the
+  /// typed walk needs the checked table to have the same layout.
+  std::vector<DataType> attr_types_;
 };
 
 }  // namespace dq

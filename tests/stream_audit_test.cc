@@ -84,8 +84,23 @@ class StreamAuditTest : public ::testing::Test {
     auto sample = GenerateQuisSample(SmallQuis());
     ASSERT_TRUE(sample.ok());
     table_ = std::move(sample->table);
-    csv_path_ = ::testing::TempDir() + "/stream_audit_quis.csv";
+    csv_path_ = TestPath(".csv");
     ASSERT_TRUE(WriteCsvFile(table_, csv_path_).ok());
+  }
+
+  void TearDown() override {
+    std::error_code ignored;
+    std::filesystem::remove(csv_path_, ignored);
+    std::filesystem::remove(TestPath(".dqcol"), ignored);
+  }
+
+  /// Scratch path named after the running test: ctest runs every test of
+  /// this suite as its own process, concurrently under -j, so a shared
+  /// fixed path would let one test overwrite another's input mid-read.
+  static std::string TestPath(const std::string& suffix) {
+    const ::testing::TestInfo* info =
+        ::testing::UnitTest::GetInstance()->current_test_info();
+    return ::testing::TempDir() + "/stream_audit_" + info->name() + suffix;
   }
 
   StreamAuditOptions FullSampleOptions() const {
@@ -132,7 +147,7 @@ TEST_F(StreamAuditTest, ReportIsInvariantUnderMemoryBudget) {
 
   StreamAuditOptions budgeted = FullSampleOptions();
   budgeted.store.memory_budget_bytes = 8 * 1024;  // forces spilling
-  budgeted.store.spill_dir = ::testing::TempDir() + "/stream_audit_spill";
+  budgeted.store.spill_dir = TestPath("_spill");
   auto tight = RunStreamingAudit(table_.schema(), csv_path_, budgeted);
   ASSERT_TRUE(tight.ok());
   EXPECT_GT(tight->store_stats.spill_writes, 0u);
@@ -186,8 +201,7 @@ TEST_F(StreamAuditTest, DqcolInputReproducesCsvReport) {
   // seam must make the report independent of the on-disk format.
   auto loaded = ReadCsvFile(table_.schema(), csv_path_);
   ASSERT_TRUE(loaded.ok());
-  const std::string dqcol_path =
-      ::testing::TempDir() + "/stream_audit_quis.dqcol";
+  const std::string dqcol_path = TestPath(".dqcol");
   ASSERT_TRUE(WriteDqcolFile(*loaded, dqcol_path).ok());
 
   const StreamAuditOptions csv_options = FullSampleOptions();

@@ -3,11 +3,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <sstream>
+#include <string>
+#include <vector>
 
+#include "audit/error_confidence.h"
 #include "audit/review.h"
 #include "audit/structure_model.h"
 #include "common/random.h"
+#include "quis/quis_sample.h"
 
 namespace dq {
 namespace {
@@ -57,6 +63,129 @@ struct Fixture {
     return c;
   }
 };
+
+/// Reference checker: the first-match rule scan over StructureRule::Matches
+/// that the compiled-tree walk replaced. Kept here as the oracle the walk
+/// must reproduce field for field.
+AuditReport RuleScanOracle(const StructureModel& sm, const Table& data,
+                           const AuditorConfig& config) {
+  AuditReport report;
+  const size_t n = data.num_rows();
+  report.record_confidence.assign(n, 0.0);
+  report.record_attr.assign(n, -1);
+  report.record_suggestion.assign(n, Value::Null());
+  report.record_support.assign(n, 0.0);
+  report.flagged.assign(n, false);
+  for (size_t r = 0; r < n; ++r) {
+    const Row row = data.row(r);
+    for (const AttributeRuleSet& set : sm.rule_sets()) {
+      const StructureRule* matched = nullptr;
+      for (const StructureRule& rule : set.rules) {
+        if (rule.Matches(row)) {
+          matched = &rule;
+          break;
+        }
+      }
+      if (matched == nullptr || matched->support <= 0.0) continue;
+      Prediction pred;
+      pred.support = matched->support;
+      for (double c : matched->class_counts) {
+        pred.distribution.push_back(c / matched->support);
+      }
+      const double conf = ErrorConfidence(
+          pred, set.encoder.Encode(row[static_cast<size_t>(set.class_attr)]),
+          config.confidence_level, config.flag_null_values);
+      if (conf > report.record_confidence[r]) {
+        report.record_confidence[r] = conf;
+        report.record_attr[r] = set.class_attr;
+        report.record_suggestion[r] =
+            set.encoder.Representative(matched->majority_class);
+        report.record_support[r] = matched->support;
+      }
+    }
+    const int attr = report.record_attr[r];
+    if (attr < 0 ||
+        report.record_confidence[r] < config.min_error_confidence) {
+      continue;
+    }
+    report.flagged[r] = true;
+    Suspicion s;
+    s.row = r;
+    s.error_confidence = report.record_confidence[r];
+    s.attr = attr;
+    s.observed = data.cell(r, static_cast<size_t>(attr));
+    s.suggestion = report.record_suggestion[r];
+    s.support = report.record_support[r];
+    report.suspicious.push_back(std::move(s));
+  }
+  std::stable_sort(report.suspicious.begin(), report.suspicious.end(),
+                   [](const Suspicion& a, const Suspicion& b) {
+                     return a.error_confidence > b.error_confidence;
+                   });
+  return report;
+}
+
+void ExpectSameReport(const AuditReport& want, const AuditReport& got) {
+  ASSERT_EQ(want.record_confidence.size(), got.record_confidence.size());
+  for (size_t r = 0; r < want.record_confidence.size(); ++r) {
+    ASSERT_EQ(want.record_confidence[r], got.record_confidence[r])
+        << "row " << r;
+    ASSERT_EQ(want.record_attr[r], got.record_attr[r]) << "row " << r;
+    ASSERT_TRUE(
+        want.record_suggestion[r].StrictEquals(got.record_suggestion[r]))
+        << "row " << r;
+    ASSERT_EQ(want.record_support[r], got.record_support[r]) << "row " << r;
+    ASSERT_EQ(want.IsFlagged(r), got.IsFlagged(r)) << "row " << r;
+  }
+  ASSERT_EQ(want.suspicious.size(), got.suspicious.size());
+  for (size_t i = 0; i < want.suspicious.size(); ++i) {
+    const Suspicion& a = want.suspicious[i];
+    const Suspicion& b = got.suspicious[i];
+    ASSERT_EQ(a.row, b.row) << "rank " << i;
+    ASSERT_EQ(a.error_confidence, b.error_confidence) << "rank " << i;
+    ASSERT_EQ(a.attr, b.attr) << "rank " << i;
+    ASSERT_TRUE(a.observed.StrictEquals(b.observed)) << "rank " << i;
+    ASSERT_TRUE(a.suggestion.StrictEquals(b.suggestion)) << "rank " << i;
+    ASSERT_EQ(a.support, b.support) << "rank " << i;
+  }
+}
+
+/// Checks one record through a one-row table.
+AuditReport CheckOne(const StructureModel& sm, const Schema& schema,
+                     const Row& row, const AuditorConfig& config) {
+  Table t(schema);
+  EXPECT_TRUE(t.AppendRow(row).ok());
+  auto report = sm.Check(t, config);
+  EXPECT_TRUE(report.ok()) << report.status();
+  return std::move(*report);
+}
+
+Result<StructureModel> ParseModel(const Schema& schema,
+                                  const std::string& text) {
+  std::istringstream is(text);
+  return StructureModel::Deserialize(schema, &is);
+}
+
+/// `table` with nulls and values copied from other rows sprayed over
+/// roughly `rate` of its cells (deterministic in `seed`).
+Table Polluted(const Table& table, double rate, uint64_t seed) {
+  Table out(table.schema());
+  Rng rng(seed);
+  for (size_t r = 0; r < table.num_rows(); ++r) {
+    out.AppendRowFrom(table, r);
+    for (size_t c = 0; c < table.num_attributes(); ++c) {
+      const double u = rng.UniformReal(0.0, 1.0);
+      if (u < rate / 2) {
+        out.SetCell(r, c, Value::Null());
+      } else if (u < rate) {
+        const auto other = static_cast<size_t>(rng.UniformInt(
+            0, static_cast<int64_t>(table.num_rows()) - 1));
+        out.SetCell(r, c, table.cell(other, c));
+      }
+    }
+  }
+  return out;
+}
 
 TEST(StructureModelTest, BuildsNonEmptyRuleSets) {
   Fixture f;
@@ -254,21 +383,25 @@ TEST(StructureModelTest, DropUselessShrinksButLosesPureLeafDetection) {
   row[0] = Value::Nominal(1);
   row[1] = Value::Nominal(0);  // violates Y == X
   row[2] = Value::Numeric(31.0);
-  const auto full_verdict = full.CheckRecord(row, f.config);
-  EXPECT_TRUE(full_verdict.suspicious);
-  const auto reduced_verdict = reduced.CheckRecord(row, f.config);
-  EXPECT_LT(reduced_verdict.error_confidence, full_verdict.error_confidence);
+  const Schema& schema = f.table.schema();
+  const AuditReport full_report = CheckOne(full, schema, row, f.config);
+  EXPECT_TRUE(full_report.IsFlagged(0));
+  const AuditReport reduced_report = CheckOne(reduced, schema, row, f.config);
+  EXPECT_LT(reduced_report.record_confidence[0],
+            full_report.record_confidence[0]);
 }
 
 TEST(StructureModelTest, CheckRecordMatchesBatchCheck) {
+  // A record checked on its own gets the verdict the batch check gave it.
   Fixture f;
   StructureModel sm = StructureModel::FromAuditModel(f.model, f.table.schema());
   auto report = sm.Check(f.table, f.config);
   ASSERT_TRUE(report.ok());
   for (size_t r = 0; r < 200; ++r) {
-    const auto verdict = sm.CheckRecord(f.table.row(r), f.config);
-    EXPECT_EQ(verdict.suspicious, report->IsFlagged(r)) << "row " << r;
-    EXPECT_DOUBLE_EQ(verdict.error_confidence, report->record_confidence[r]);
+    const AuditReport one =
+        CheckOne(sm, f.table.schema(), f.table.row(r), f.config);
+    EXPECT_EQ(one.IsFlagged(0), report->IsFlagged(r)) << "row " << r;
+    EXPECT_DOUBLE_EQ(one.record_confidence[0], report->record_confidence[r]);
   }
 }
 
@@ -279,8 +412,9 @@ TEST(StructureModelTest, CheckRecordOnConformingRecord) {
   row[0] = Value::Nominal(1);
   row[1] = Value::Nominal(1);  // consistent with Y == X
   row[2] = Value::Numeric(32.0);
-  const auto verdict = sm.CheckRecord(row, f.config);
-  EXPECT_FALSE(verdict.suspicious);
+  const AuditReport report = CheckOne(sm, f.table.schema(), row, f.config);
+  EXPECT_FALSE(report.IsFlagged(0));
+  EXPECT_TRUE(report.suspicious.empty());
 }
 
 TEST(StructureModelTest, CheckRecordOnDeviatingRecord) {
@@ -290,10 +424,277 @@ TEST(StructureModelTest, CheckRecordOnDeviatingRecord) {
   row[0] = Value::Nominal(1);
   row[1] = Value::Nominal(2);  // violates Y == X
   row[2] = Value::Numeric(32.0);
-  const auto verdict = sm.CheckRecord(row, f.config);
-  EXPECT_TRUE(verdict.suspicious);
-  EXPECT_GE(verdict.error_confidence, 0.8);
-  EXPECT_GT(verdict.support, 0.0);
+  const AuditReport report = CheckOne(sm, f.table.schema(), row, f.config);
+  EXPECT_TRUE(report.IsFlagged(0));
+  EXPECT_GE(report.record_confidence[0], 0.8);
+  EXPECT_GT(report.record_support[0], 0.0);
+  ASSERT_EQ(report.suspicious.size(), 1u);
+}
+
+// --- Compiled-tree checker vs the rule-scan oracle --------------------------
+
+TEST(StructureModelTest, CheckEqualsRuleScanOnPollutedQuis) {
+  // QUIS mixes nominal, numeric and date attributes, so the trees hold
+  // category and threshold splits; the pollution adds nulls on split
+  // attributes and values the training data never paired.
+  QuisConfig quis;
+  quis.num_records = 3000;
+  quis.seed = 23;
+  auto sample = GenerateQuisSample(quis);
+  ASSERT_TRUE(sample.ok());
+  const Table& train = sample->table;
+  Auditor auditor(Fixture::MakeConfig());
+  auto model = auditor.Induce(train);
+  ASSERT_TRUE(model.ok());
+  const StructureModel sm =
+      StructureModel::FromAuditModel(*model, train.schema());
+  ASSERT_GT(sm.TotalRules(), 20u);
+
+  std::ostringstream os;
+  ASSERT_TRUE(sm.SerializeTo(&os).ok());
+  auto loaded = ParseModel(train.schema(), os.str());
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+
+  const Table data = Polluted(train, 0.15, 5);
+  for (int threads : {1, 4}) {
+    AuditorConfig config = Fixture::MakeConfig();
+    config.num_threads = threads;
+    const AuditReport oracle = RuleScanOracle(sm, data, config);
+    ASSERT_GT(oracle.suspicious.size(), 0u);
+    auto compiled = sm.Check(data, config);
+    ASSERT_TRUE(compiled.ok());
+    ExpectSameReport(oracle, *compiled);
+    auto reloaded = loaded->Check(data, config);
+    ASSERT_TRUE(reloaded.ok());
+    ExpectSameReport(oracle, *reloaded);
+    // The null-flagging policy reaches the walk unchanged.
+    config.flag_null_values = false;
+    auto no_nulls = sm.Check(data, config);
+    ASSERT_TRUE(no_nulls.ok());
+    ExpectSameReport(RuleScanOracle(sm, data, config), *no_nulls);
+  }
+}
+
+TEST(StructureModelTest, CheckEqualsRuleScanWithDroppedLeaves) {
+  // drop_useless removes leaves, leaving category children and threshold
+  // sides with no rule below them: those records must match nothing.
+  Fixture f(3000, 20, 62);
+  const StructureModel reduced =
+      StructureModel::FromAuditModel(f.model, f.table.schema(), true);
+  const Table data = Polluted(f.table, 0.2, 9);
+  const AuditReport oracle = RuleScanOracle(reduced, data, f.config);
+  auto compiled = reduced.Check(data, f.config);
+  ASSERT_TRUE(compiled.ok());
+  ExpectSameReport(oracle, *compiled);
+}
+
+TEST(StructureModelTest, EqualConfidenceGoesToTheFirstAttributeModel) {
+  // Both rules apply to (X=x0, Y=y0) and dissent with the same confidence;
+  // Definition 8's maximum keeps the first model's verdict on a tie.
+  const Schema s = ModelSchema();
+  auto sm = ParseModel(s,
+                       "dqmodel v1\n"
+                       "attrset 0 nominal\n"
+                       "rule 1 100 0.99 0.5 counts 3 1 99 0 conds 1\n"
+                       "cond 1 cat 0\n"
+                       "attrset 1 nominal\n"
+                       "rule 1 100 0.99 0.5 counts 3 1 99 0 conds 1\n"
+                       "cond 0 cat 0\n"
+                       "end\n");
+  ASSERT_TRUE(sm.ok()) << sm.status();
+  const AuditReport report =
+      CheckOne(*sm, s, {Value::Nominal(0), Value::Nominal(0),
+                        Value::Numeric(1.0)},
+               Fixture::MakeConfig());
+  ASSERT_EQ(report.suspicious.size(), 1u);
+  EXPECT_EQ(report.suspicious[0].attr, 0);
+}
+
+TEST(StructureModelTest, CheckRejectsTableOfAnotherSchema) {
+  // The walk reads typed columns, so a table whose attribute types differ
+  // from the model's schema is refused instead of misread.
+  Fixture f;
+  const StructureModel sm =
+      StructureModel::FromAuditModel(f.model, f.table.schema());
+  Schema other;
+  ASSERT_TRUE(other.AddNumeric("X", 0.0, 3.0).ok());
+  ASSERT_TRUE(other.AddNumeric("Y", 0.0, 3.0).ok());
+  ASSERT_TRUE(other.AddNumeric("Z", 0.0, 100.0).ok());
+  Table t(other);
+  ASSERT_TRUE(t.AppendRow({Value::Numeric(1.0), Value::Numeric(1.0),
+                           Value::Numeric(30.0)})
+                  .ok());
+  EXPECT_FALSE(sm.Check(t, f.config).ok());
+}
+
+// --- Reader hardening -------------------------------------------------------
+
+TEST(StructureModelTest, RejectsRuleSetsThatAreNotOneTree) {
+  const Schema s = ModelSchema();
+  const std::string head = "dqmodel v1\nattrset 1 nominal\n";
+  const std::string rule = "rule 1 100 0.99 0.5 counts 3 1 99 0 conds ";
+  struct Case {
+    const char* what;
+    std::string body;
+    const char* line;    // the line the error must name
+    const char* reason;  // and what it must say
+  };
+  const std::vector<Case> cases = {
+      {"split on another attribute under the same prefix",
+       rule + "1\ncond 0 cat 0\n" + rule + "1\ncond 2 le 50\n", "line 5",
+       "splits differently"},
+      {"threshold disagreeing with the sibling rule",
+       rule + "1\ncond 2 le 50\n" + rule + "1\ncond 2 gt 40\n", "line 5",
+       "splits differently"},
+      {"category split against a threshold split",
+       rule + "2\ncond 2 le 50\ncond 0 cat 1\n" + rule +
+           "2\ncond 2 le 50\ncond 2 le 20\n",
+       "line 6", "splits differently"},
+      {"rule ending at an inner node",
+       rule + "2\ncond 0 cat 0\ncond 2 le 10\n" + rule + "1\ncond 0 cat 0\n",
+       "line 6", "inner node"},
+      {"rule extending past a leaf",
+       rule + "1\ncond 0 cat 0\n" + rule + "2\ncond 0 cat 0\ncond 2 le 10\n",
+       "line 5", "extends a path"},
+      {"duplicate leaf", rule + "0\n" + rule + "0\n", "line 4",
+       "duplicate leaf"},
+  };
+  for (const Case& c : cases) {
+    auto sm = ParseModel(s, head + c.body + "end\n");
+    ASSERT_FALSE(sm.ok()) << c.what;
+    const std::string& message = sm.status().message();
+    EXPECT_NE(message.find(c.line), std::string::npos)
+        << c.what << ": " << sm.status();
+    EXPECT_NE(message.find("not a decision tree"), std::string::npos)
+        << c.what << ": " << sm.status();
+    EXPECT_NE(message.find(c.reason), std::string::npos)
+        << c.what << ": " << sm.status();
+  }
+  // The same conditions in a consistent tree load fine.
+  auto ok = ParseModel(s, head + rule + "1\ncond 2 le 50\n" + rule +
+                              "1\ncond 2 gt 50\nend\n");
+  EXPECT_TRUE(ok.ok()) << ok.status();
+}
+
+TEST(StructureModelTest, RejectsOutOfDomainFields) {
+  const Schema s = ModelSchema();
+  const std::string head = "dqmodel v1\nattrset 1 nominal\n";
+  const std::vector<std::pair<const char*, std::string>> cases = {
+      {"majority class past the class count",
+       "rule 3 100 0.99 0.5 counts 3 1 99 0 conds 0\n"},
+      {"negative majority class",
+       "rule -1 100 0.99 0.5 counts 3 1 99 0 conds 0\n"},
+      {"category outside the domain",
+       "rule 1 100 0.99 0.5 counts 3 1 99 0 conds 1\ncond 0 cat 3\n"},
+      {"negative category",
+       "rule 1 100 0.99 0.5 counts 3 1 99 0 conds 1\ncond 0 cat -1\n"},
+      {"category split on a numeric attribute",
+       "rule 1 100 0.99 0.5 counts 3 1 99 0 conds 1\ncond 2 cat 0\n"},
+      {"threshold split on a nominal attribute",
+       "rule 1 100 0.99 0.5 counts 3 1 99 0 conds 1\ncond 0 le 1\n"},
+      {"non-finite threshold",
+       "rule 1 100 0.99 0.5 counts 3 1 99 0 conds 1\ncond 2 le nan\n"},
+      {"non-finite support", "rule 1 inf 0.99 0.5 counts 3 1 99 0 conds 0\n"},
+      {"inflated class count",
+       "rule 1 100 0.99 0.5 counts 99999999999 1 99 0 conds 0\n"},
+      {"count past size_t", "rule 1 100 0.99 0.5 counts "
+                            "999999999999999999999999 1 99 0 conds 0\n"},
+      {"inflated condition count",
+       "rule 1 100 0.99 0.5 counts 3 1 99 0 conds 99999999999\n"},
+      {"trailing data on a rule line",
+       "rule 1 100 0.99 0.5 counts 3 1 99 0 conds 0 x\n"},
+  };
+  for (const auto& [what, body] : cases) {
+    auto sm = ParseModel(s, head + body + "end\n");
+    EXPECT_FALSE(sm.ok()) << what;
+  }
+  // Inflated discretizer counts on an attrset line.
+  EXPECT_FALSE(
+      ParseModel(s, "dqmodel v1\nattrset 2 discretized 99999999999 1 2 3\nend\n")
+          .ok());
+  EXPECT_FALSE(
+      ParseModel(s, "dqmodel v1\nattrset 2 discretized 1 5 99999999999 1 2\nend\n")
+          .ok());
+}
+
+/// Deterministic corruptions of a valid model text.
+std::vector<std::string> Mutants(const std::string& text, uint64_t seed) {
+  std::vector<std::string> out;
+  Rng rng(seed);
+  const auto pick = [&](size_t n) {
+    return static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(n) - 1));
+  };
+  // Truncation at many offsets, including every early one.
+  for (size_t cut = 0; cut < std::min<size_t>(text.size(), 64); ++cut) {
+    out.push_back(text.substr(0, cut));
+  }
+  for (int i = 0; i < 150; ++i) out.push_back(text.substr(0, pick(text.size())));
+  // Byte flips.
+  for (int i = 0; i < 300; ++i) {
+    std::string m = text;
+    const int flips = 1 + static_cast<int>(pick(3));
+    for (int k = 0; k < flips; ++k) {
+      m[pick(m.size())] = static_cast<char>(pick(256));
+    }
+    out.push_back(std::move(m));
+  }
+  // Number inflation: replace one numeric token with an extreme value.
+  std::vector<size_t> starts;
+  for (size_t i = 0; i < text.size(); ++i) {
+    const bool digit = text[i] >= '0' && text[i] <= '9';
+    if (digit && (i == 0 || text[i - 1] == ' ')) starts.push_back(i);
+  }
+  const char* extremes[] = {"99999999999", "-1", "2147483648", "1e308",
+                            "-1e308", "nan", "inf", "0", "4294967296",
+                            "18446744073709551616"};
+  for (int i = 0; i < 300 && !starts.empty(); ++i) {
+    const size_t at = starts[pick(starts.size())];
+    size_t end = at;
+    while (end < text.size() && text[end] != ' ' && text[end] != '\n') ++end;
+    std::string m = text;
+    m.replace(at, end - at, extremes[pick(std::size(extremes))]);
+    out.push_back(std::move(m));
+  }
+  return out;
+}
+
+TEST(StructureModelTest, MutatedModelsYieldStatusNotCrash) {
+  Fixture f(2000, 10, 63);
+  const StructureModel sm =
+      StructureModel::FromAuditModel(f.model, f.table.schema());
+  std::ostringstream os;
+  ASSERT_TRUE(sm.SerializeTo(&os).ok());
+  const std::string text = os.str();
+  ASSERT_TRUE(ParseModel(f.table.schema(), text).ok());
+
+  size_t accepted = 0;
+  size_t rejected = 0;
+  double slowest_ms = 0.0;
+  for (const std::string& mutant : Mutants(text, 2003)) {
+    const auto start = std::chrono::steady_clock::now();
+    auto parsed = ParseModel(f.table.schema(), mutant);
+    slowest_ms = std::max(
+        slowest_ms, std::chrono::duration<double, std::milli>(
+                        std::chrono::steady_clock::now() - start)
+                        .count());
+    if (!parsed.ok()) {
+      ++rejected;
+      EXPECT_NE(parsed.status().message().find("dqmodel"), std::string::npos)
+          << parsed.status();
+      continue;
+    }
+    ++accepted;
+    // Whatever loads must also check without touching memory it does not
+    // own (the sanitizer builds run this suite).
+    auto report = parsed->Check(f.table, f.config);
+    ASSERT_TRUE(report.ok());
+    ASSERT_EQ(report->record_confidence.size(), f.table.num_rows());
+  }
+  EXPECT_GT(rejected, 0u);
+  EXPECT_GT(accepted, 0u);  // some flips land in harmless digits
+  // Parsing is one bounded pass: no mutant may stall the reader.
+  EXPECT_LT(slowest_ms, 2000.0);
 }
 
 // --- Review (sec. 5.3) -----------------------------------------------------------

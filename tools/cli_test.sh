@@ -45,6 +45,30 @@ test -s "$WORK/corrected.csv"
   > "$WORK/check.out"
 grep -q "checked against" "$WORK/check.out"
 
+# --load-model shares the classic tail: --report, --corrected and --summary
+# are honoured, and the check is identical for every --threads value.
+# Relative output names keep the two stdouts comparable byte for byte.
+for t in 1 4; do
+  mkdir "$WORK/check_t$t"
+  ( cd "$WORK/check_t$t" &&
+    "$DQAUDIT" --schema "$SPEC" --data "$WORK/dirty.csv" \
+      --load-model "$WORK/model.dqmodel" --min-conf 0.8 --top 100000 \
+      --threads "$t" --report report.csv --corrected corrected.csv \
+      --summary > check.out )
+done
+cmp "$WORK/check_t1/check.out" "$WORK/check_t4/check.out"
+cmp "$WORK/check_t1/report.csv" "$WORK/check_t4/report.csv"
+cmp "$WORK/check_t1/corrected.csv" "$WORK/check_t4/corrected.csv"
+test -s "$WORK/check_t1/corrected.csv"
+grep -q "wrote ranked report to report.csv" "$WORK/check_t1/check.out"
+grep -q "wrote corrected table to corrected.csv" "$WORK/check_t1/check.out"
+FLAGGED=$(grep -o "[0-9]* suspicious records" "$WORK/check_t1/check.out" | cut -d' ' -f1)
+REPORTED=$(($(wc -l < "$WORK/check_t1/report.csv") - 1))
+if [ "$REPORTED" -ne "$FLAGGED" ]; then
+  echo "--load-model report has $REPORTED rows, stdout says $FLAGGED" >&2
+  exit 1
+fi
+
 # Rule-set checking flags a subset of the tree audit: records with null
 # path attributes match no exported rule (tree predictions blend branches
 # instead). Allow that small gap, but never more flags than the audit.

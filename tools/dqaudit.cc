@@ -22,12 +22,13 @@
 //   --save-model FILE  persist the induced structure model (rule sets)
 //   --load-model FILE  skip induction, check against a persisted model
 //   --top N            print the N strongest suspicions (default 20)
-//   --explain N        print review sheets for the top N suspicions
+//   --explain N        print review sheets for the top N suspicions (needs
+//                      an induced model; not printed under --load-model)
 //   --rules            print the induced structure model
 //   --corrected FILE   write the auto-corrected table as CSV
 //   --report FILE      write the ranked suspicions as CSV
 //   --summary          print the per-attribute flag summary (including
-//                      per-attribute induction times)
+//                      per-attribute induction times when inducing)
 //   --threads N        worker threads for induction/checking
 //                      (default 0 = hardware concurrency; any non-positive
 //                      value means the hardware default; results are
@@ -602,127 +603,127 @@ int main(int argc, char** argv) {
   }
 
   Auditor auditor(config);
+  AuditReport report;
+  AuditTimings timings;
+  std::optional<AuditModel> model;  // absent under --load-model
 
-  // Checking via a persisted structure model needs no induction.
   if (!opts.load_model_path.empty()) {
-    auto model = StructureModel::LoadFromFile(*schema, opts.load_model_path);
-    if (!model.ok()) return Fail(model.status());
-    auto report = model->Check(*data, config);
-    if (!report.ok()) return Fail(report.status());
+    // Checking via a persisted structure model needs no induction.
+    auto structure = StructureModel::LoadFromFile(*schema, opts.load_model_path);
+    if (!structure.ok()) return Fail(structure.status());
+    auto checked = structure->Check(*data, config);
+    if (!checked.ok()) return Fail(checked.status());
+    report = std::move(*checked);
     std::printf("checked against %zu persisted rules: %zu suspicious "
                 "records\n",
-                model->TotalRules(), report->NumFlagged());
-    const size_t limit = std::min<size_t>(report->suspicious.size(),
+                structure->TotalRules(), report.NumFlagged());
+    const size_t limit = std::min<size_t>(report.suspicious.size(),
                                           static_cast<size_t>(opts.top));
     for (size_t i = 0; i < limit; ++i) {
-      const Suspicion& s = report->suspicious[i];
+      const Suspicion& s = report.suspicious[i];
       std::printf("  row %6zu  conf %.4f  %s = %s -> suggest %s\n", s.row,
                   s.error_confidence,
                   schema->attribute(static_cast<size_t>(s.attr)).name.c_str(),
                   schema->ValueToString(s.attr, s.observed).c_str(),
                   schema->ValueToString(s.attr, s.suggestion).c_str());
     }
-    AuditTimings check_timings;
-    check_timings.threads_used = manifest.threads_used;
-    check_timings.ingest_ms = obs::Tracer::Global().AggregateMs("ingest");
-    Status history_appended =
-        append_history(data->num_rows(), report->suspicious,
-                       std::move(rule_violation_counts), check_timings);
-    if (!history_appended.ok()) return Fail(history_appended);
-    Status exported = export_observability();
-    if (!exported.ok()) return Fail(exported);
-    return 0;
-  }
-
-  // Structure induction (on --train if given, else on the audit data).
-  const Table* train = &*data;
-  std::optional<Table> train_storage;
-  IngestReport train_ingest;
-  if (!opts.train_path.empty()) {
-    auto loaded = ReadTableFile(train_format, *schema, opts.train_path,
-                                csv_options, &train_ingest);
-    if (!loaded.ok()) return Fail(loaded.status());
-    if (train_ingest.HasErrors()) {
-      std::printf("ingest (train): %s\n", train_ingest.Summary().c_str());
-      std::fputs(train_ingest.RenderText().c_str(), stderr);
+    timings.threads_used = manifest.threads_used;
+    timings.ingest_ms = obs::Tracer::Global().AggregateMs("ingest");
+  } else {
+    // Structure induction (on --train if given, else on the audit data).
+    const Table* train = &*data;
+    std::optional<Table> train_storage;
+    IngestReport train_ingest;
+    if (!opts.train_path.empty()) {
+      auto loaded = ReadTableFile(train_format, *schema, opts.train_path,
+                                  csv_options, &train_ingest);
+      if (!loaded.ok()) return Fail(loaded.status());
+      if (train_ingest.HasErrors()) {
+        std::printf("ingest (train): %s\n", train_ingest.Summary().c_str());
+        std::fputs(train_ingest.RenderText().c_str(), stderr);
+      }
+      train_storage = std::move(*loaded);
+      train = &*train_storage;
     }
-    train_storage = std::move(*loaded);
-    train = &*train_storage;
-  }
-  AuditTimings timings;
-  // Every CSV read recorded an "ingest" span; summing the closed spans
-  // makes the timings line agree with the exported trace (and covers the
-  // --train read, which the old hand-added parse_ms pair got wrong when
-  // either report was reused).
-  timings.ingest_ms = obs::Tracer::Global().AggregateMs("ingest");
-  auto model = auditor.Induce(*train, &timings);
-  if (!model.ok()) return Fail(model.status());
+    // Every CSV read recorded an "ingest" span; summing the closed spans
+    // makes the timings line agree with the exported trace (and covers the
+    // --train read, which the old hand-added parse_ms pair got wrong when
+    // either report was reused).
+    timings.ingest_ms = obs::Tracer::Global().AggregateMs("ingest");
+    auto induced = auditor.Induce(*train, &timings);
+    if (!induced.ok()) return Fail(induced.status());
+    model = std::move(*induced);
 
-  if (opts.print_rules) {
-    std::printf("%s", RenderStructureModel(*model, *schema).c_str());
-  }
-  if (!opts.save_model_path.empty()) {
-    StructureModel structure = StructureModel::FromAuditModel(*model, *schema);
-    Status saved = structure.SaveToFile(opts.save_model_path);
-    if (!saved.ok()) return Fail(saved);
-    std::printf("persisted %zu rules to %s\n", structure.TotalRules(),
-                opts.save_model_path.c_str());
-  }
+    if (opts.print_rules) {
+      std::printf("%s", RenderStructureModel(*model, *schema).c_str());
+    }
+    if (!opts.save_model_path.empty()) {
+      StructureModel structure =
+          StructureModel::FromAuditModel(*model, *schema);
+      Status saved = structure.SaveToFile(opts.save_model_path);
+      if (!saved.ok()) return Fail(saved);
+      std::printf("persisted %zu rules to %s\n", structure.TotalRules(),
+                  opts.save_model_path.c_str());
+    }
 
-  auto report = auditor.Audit(*model, *data, &timings);
-  if (!report.ok()) return Fail(report.status());
-  std::printf("timings (threads=%d): ingest %.1f ms, induce %.1f ms "
-              "(encode %.1f ms, c4.5 presort %.1f ms, tree build %.1f ms), "
-              "audit %.1f ms\n",
-              timings.threads_used, timings.ingest_ms, timings.induce_ms,
-              timings.encode_ms, timings.presort_ms, timings.tree_build_ms,
-              timings.audit_ms);
-  std::printf("%zu of %zu records suspicious at minimal error confidence "
-              "%.2f\n",
-              report->NumFlagged(), data->num_rows(), opts.min_conf);
-  const size_t limit = std::min<size_t>(report->suspicious.size(),
-                                        static_cast<size_t>(opts.top));
-  for (size_t i = 0; i < limit; ++i) {
-    const Suspicion& s = report->suspicious[i];
-    std::printf("  row %6zu  conf %.4f  %s = %s -> suggest %s (support "
-                "%.0f)\n",
-                s.row, s.error_confidence,
-                schema->attribute(static_cast<size_t>(s.attr)).name.c_str(),
-                schema->ValueToString(s.attr, s.observed).c_str(),
-                schema->ValueToString(s.attr, s.suggestion).c_str(),
-                s.support);
-  }
+    auto audited = auditor.Audit(*model, *data, &timings);
+    if (!audited.ok()) return Fail(audited.status());
+    report = std::move(*audited);
+    std::printf("timings (threads=%d): ingest %.1f ms, induce %.1f ms "
+                "(encode %.1f ms, c4.5 presort %.1f ms, tree build %.1f ms), "
+                "audit %.1f ms\n",
+                timings.threads_used, timings.ingest_ms, timings.induce_ms,
+                timings.encode_ms, timings.presort_ms, timings.tree_build_ms,
+                timings.audit_ms);
+    std::printf("%zu of %zu records suspicious at minimal error confidence "
+                "%.2f\n",
+                report.NumFlagged(), data->num_rows(), opts.min_conf);
+    const size_t limit = std::min<size_t>(report.suspicious.size(),
+                                          static_cast<size_t>(opts.top));
+    for (size_t i = 0; i < limit; ++i) {
+      const Suspicion& s = report.suspicious[i];
+      std::printf("  row %6zu  conf %.4f  %s = %s -> suggest %s (support "
+                  "%.0f)\n",
+                  s.row, s.error_confidence,
+                  schema->attribute(static_cast<size_t>(s.attr)).name.c_str(),
+                  schema->ValueToString(s.attr, s.observed).c_str(),
+                  schema->ValueToString(s.attr, s.suggestion).c_str(),
+                  s.support);
+    }
 
-  for (int i = 0; i < opts.explain &&
-                  static_cast<size_t>(i) < report->suspicious.size();
-       ++i) {
-    auto detail =
-        ExplainRecord(*model, *data, report->suspicious[static_cast<size_t>(i)].row,
-                      config);
-    if (detail.ok()) {
-      std::printf("\n%s", RenderSuspicionDetail(*detail, *model, *data).c_str());
+    for (int i = 0; i < opts.explain &&
+                    static_cast<size_t>(i) < report.suspicious.size();
+         ++i) {
+      auto detail = ExplainRecord(
+          *model, *data, report.suspicious[static_cast<size_t>(i)].row, config);
+      if (detail.ok()) {
+        std::printf("\n%s",
+                    RenderSuspicionDetail(*detail, *model, *data).c_str());
+      }
     }
   }
 
   if (opts.print_summary) {
-    const AuditSummary summary = SummarizeReport(*report, *data);
+    const AuditSummary summary = SummarizeReport(report, *data);
     std::printf("\n%s\n", RenderAuditSummary(summary, *schema).c_str());
-    std::printf("\ninduction time per attribute:\n");
-    for (const auto& [attr, ms] : timings.induce_attr_ms) {
-      std::printf("  %-12s %8.1f ms\n",
-                  schema->attribute(static_cast<size_t>(attr)).name.c_str(),
-                  ms);
+    if (model.has_value()) {
+      std::printf("\ninduction time per attribute:\n");
+      for (const auto& [attr, ms] : timings.induce_attr_ms) {
+        std::printf("  %-12s %8.1f ms\n",
+                    schema->attribute(static_cast<size_t>(attr)).name.c_str(),
+                    ms);
+      }
     }
   }
 
   if (!opts.report_path.empty()) {
-    Status written = WriteAuditReportCsvFile(*report, *data, opts.report_path);
+    Status written = WriteAuditReportCsvFile(report, *data, opts.report_path);
     if (!written.ok()) return Fail(written);
     std::printf("wrote ranked report to %s\n", opts.report_path.c_str());
   }
 
   if (!opts.corrected_path.empty()) {
-    auto corrected = auditor.ApplyCorrections(*report, *data);
+    auto corrected = auditor.ApplyCorrections(report, *data);
     if (!corrected.ok()) return Fail(corrected.status());
     Status written = WriteCsvFile(*corrected, opts.corrected_path);
     if (!written.ok()) return Fail(written);
@@ -731,7 +732,7 @@ int main(int argc, char** argv) {
 
   manifest.threads_used = timings.threads_used;
   Status history_appended =
-      append_history(data->num_rows(), report->suspicious,
+      append_history(data->num_rows(), report.suspicious,
                      std::move(rule_violation_counts), timings);
   if (!history_appended.ok()) return Fail(history_appended);
   Status exported = export_observability();
