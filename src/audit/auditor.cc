@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <optional>
-#include <thread>
 #include <unordered_set>
 
 #include "audit/error_confidence.h"
@@ -122,8 +121,8 @@ Result<AuditModel> Auditor::Induce(const Table& train,
   // Parallelism is applied on one of two axes, never both:
   //
   //  * histogram-mode C4.5 parallelizes INSIDE each Train (the breadth-wise
-  //    node frontier), so the k inductions run sequentially here sharing
-  //    one pool — per-tree spans never overlap, and the summed
+  //    node frontier), so the k inductions run sequentially here, each
+  //    with the full width — per-tree spans never overlap, and the summed
   //    tree_build_ms stays a faithful non-overlapping wall-clock total;
   //  * every other inducer has serial Train calls, so the k independent
   //    jobs fan out ACROSS the pool as before.
@@ -133,7 +132,7 @@ Result<AuditModel> Auditor::Induce(const Table& train,
   const bool intra_tree = config_.inducer == InducerKind::kC45 &&
                           config_.c45.split_mode == SplitMode::kHistogram;
 
-  auto run_job = [&](size_t j, ThreadPool* pool) {
+  auto run_job = [&](size_t j, int train_threads) {
     obs::Span span("induce.attr", jobs[j].class_attr, &job_ms[j]);
     const Job& job = jobs[j];
     AttributeModel am;
@@ -156,7 +155,7 @@ Result<AuditModel> Auditor::Induce(const Table& train,
     td.base_attrs = am.base_attrs;
     td.encoder = &am.encoder;
     td.encoded = &*encoded;
-    td.pool = pool;
+    td.num_threads = train_threads;
     Status trained = am.classifier->Train(td);
     if (!trained.ok()) {
       // An attribute that cannot be modelled (e.g. all class values null)
@@ -166,22 +165,8 @@ Result<AuditModel> Auditor::Induce(const Table& train,
     slots[j] = std::move(am);
   };
 
-  int induction_threads = threads;
   if (intra_tree) {
-    // Worker threads beyond the physical cores cannot speed node-parallel
-    // induction -- they only add scheduling contention on the shared
-    // frontier batches -- so the intra-tree pool is clamped to the
-    // hardware concurrency. The tree is pool-size invariant (pre-assigned
-    // result slots), so the clamp never changes output.
-    const int hw =
-        static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
-    const int workers = std::min(threads, hw);
-    induction_threads = workers;
-    std::optional<ThreadPool> pool;
-    if (workers > 1) pool.emplace(workers);
-    for (size_t j = 0; j < jobs.size(); ++j) {
-      run_job(j, pool.has_value() ? &*pool : nullptr);
-    }
+    for (size_t j = 0; j < jobs.size(); ++j) run_job(j, threads);
   } else {
     // Worker spans stitch under this Induce call's span: the context is
     // captured here on the dispatching thread and installed inside each
@@ -190,7 +175,7 @@ Result<AuditModel> Auditor::Induce(const Table& train,
     const obs::TaskContext trace_ctx = obs::Tracer::Global().CurrentContext();
     ParallelFor(threads, jobs.size(), [&](size_t j) {
       obs::TaskScope task_scope(trace_ctx);
-      run_job(j, nullptr);
+      run_job(j, 1);
     });
   }
   for (const Status& status : fatal) {
@@ -214,7 +199,7 @@ Result<AuditModel> Auditor::Induce(const Table& train,
   }
   obs::GetCounter("induce.attributes_modelled")->Add(model.num_models());
   if (timings != nullptr) {
-    timings->threads_used = induction_threads;
+    timings->threads_used = threads;
     timings->induce_ms = induce_span.ElapsedMs();
     timings->encode_ms = encode_ms;
     timings->presort_ms = presort_ms;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <fstream>
-#include <optional>
 #include <ostream>
 #include <utility>
 #include <vector>
@@ -85,8 +84,6 @@ Result<StreamAuditResult> RunStreamingAudit(
   AuditorConfig segment_config = options.auditor;
   segment_config.num_threads = 1;  // parallelism is across segments
   const Auditor segment_auditor(segment_config);
-  std::optional<ThreadPool> pool;
-  if (window > 1 && store.num_segments() > 1) pool.emplace(threads);
 
   std::vector<const Table*> pinned(window);
   std::vector<Result<AuditReport>> reports;
@@ -101,11 +98,7 @@ Result<StreamAuditResult> RunStreamingAudit(
       reports[i] = segment_auditor.Audit(result.model, *pinned[i],
                                          &segment_timings[i]);
     };
-    if (pool.has_value()) {
-      pool->RunBatch(count, audit_one);
-    } else {
-      for (size_t i = 0; i < count; ++i) audit_one(i);
-    }
+    ParallelFor(threads, count, audit_one);
     for (size_t i = 0; i < count; ++i) {
       if (!reports[i].ok()) return reports[i].status();
       AuditReport& report = *reports[i];

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <memory>
 
 #include "common/random.h"
 
@@ -93,53 +94,39 @@ void ThreadPool::WorkerLoop() {
       queue_.pop_front();
     }
     task();  // exceptions land in the task's future
-    g_tasks_executed.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
-void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
+void ThreadPool::RunBatch(size_t n, const std::function<void(size_t)>& fn,
+                          int width) {
   if (n == 0) return;
-  const size_t chunks =
-      std::min<size_t>(static_cast<size_t>(num_threads()), n);
-  if (chunks <= 1) {
-    for (size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  std::vector<std::future<void>> futures;
-  futures.reserve(chunks);
-  for (size_t c = 0; c < chunks; ++c) {
-    const size_t begin = n * c / chunks;
-    const size_t end = n * (c + 1) / chunks;
-    futures.push_back(Submit([begin, end, &fn] {
-      for (size_t i = begin; i < end; ++i) fn(i);
-    }));
-  }
-  std::exception_ptr first_error;
-  for (std::future<void>& f : futures) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
-    }
-  }
-  if (first_error) std::rethrow_exception(first_error);
-}
-
-void ThreadPool::RunBatch(size_t n, const std::function<void(size_t)>& fn) {
-  if (n == 0) return;
-  if (num_threads() <= 1 || n == 1) {
+  const size_t max_participants = static_cast<size_t>(num_threads()) + 1;
+  const size_t participants =
+      width <= 0 ? max_participants
+                 : std::min(static_cast<size_t>(width), max_participants);
+  // Many ranges per participant keep uneven items (C4.5 frontier units)
+  // balanced -- loops of up to this many items per participant claim one
+  // item at a time -- while a long loop still claims work in large
+  // contiguous blocks.
+  constexpr size_t kRangesPerParticipant = 16;
+  const size_t grain =
+      std::max<size_t>(1, n / (participants * kRangesPerParticipant));
+  const size_t num_ranges = (n + grain - 1) / grain;
+  if (participants <= 1 || num_ranges <= 1) {
     for (size_t i = 0; i < n; ++i) fn(i);
     return;
   }
   // Shared-state batch: helpers and the caller race on `next`; whoever
-  // claims an index runs it. The state is a shared_ptr so a helper task
-  // that only gets scheduled after the batch finished (all indices
-  // claimed) still has a valid counter to bounce off -- it must not touch
-  // `fn`, which dies when this frame returns.
+  // claims a range runs it. The state is a shared_ptr so a helper task
+  // that only gets scheduled after the batch finished (all ranges claimed)
+  // still has a valid counter to bounce off -- it must not touch `fn`,
+  // which dies when this frame returns.
   struct State {
     std::atomic<size_t> next{0};
     std::atomic<size_t> done{0};
     size_t n = 0;
+    size_t grain = 0;
+    size_t num_ranges = 0;
     const std::function<void(size_t)>* fn = nullptr;
     std::mutex mu;
     std::condition_variable cv;
@@ -147,46 +134,61 @@ void ThreadPool::RunBatch(size_t n, const std::function<void(size_t)>& fn) {
   };
   auto state = std::make_shared<State>();
   state->n = n;
+  state->grain = grain;
+  state->num_ranges = num_ranges;
   state->fn = &fn;
   auto drain = [state] {
     for (;;) {
-      const size_t i = state->next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= state->n) break;
+      const size_t r = state->next.fetch_add(1, std::memory_order_relaxed);
+      if (r >= state->num_ranges) break;
+      const size_t begin = r * state->grain;
+      const size_t end = std::min(state->n, begin + state->grain);
       try {
-        (*state->fn)(i);
+        for (size_t i = begin; i < end; ++i) (*state->fn)(i);
       } catch (...) {
         std::lock_guard<std::mutex> lock(state->mu);
         if (!state->error) state->error = std::current_exception();
       }
+      g_tasks_executed.fetch_add(1, std::memory_order_relaxed);
       // acq_rel: item results written above become visible to the caller,
       // which acquires `done` below before reading any slot.
       if (state->done.fetch_add(1, std::memory_order_acq_rel) + 1 ==
-          state->n) {
+          state->num_ranges) {
         std::lock_guard<std::mutex> lock(state->mu);
         state->cv.notify_all();
       }
     }
   };
-  const size_t helpers =
-      std::min<size_t>(static_cast<size_t>(num_threads()), n - 1);
+  const size_t helpers = std::min(participants, num_ranges) - 1;
   for (size_t h = 0; h < helpers; ++h) Submit(drain);
   drain();
   std::unique_lock<std::mutex> lock(state->mu);
   state->cv.wait(lock, [&] {
-    return state->done.load(std::memory_order_acquire) == state->n;
+    return state->done.load(std::memory_order_acquire) == state->num_ranges;
   });
   if (state->error) std::rethrow_exception(state->error);
 }
 
+namespace {
+
+ThreadPool& ProcessPool() {
+  // Leaked on purpose: the pool must outlive every caller, including code
+  // running during static destruction, and its idle workers must never be
+  // joined at process exit.
+  static ThreadPool* const pool = new ThreadPool(HardwareThreads());
+  return *pool;
+}
+
+}  // namespace
+
 void ParallelFor(int num_threads, size_t n,
                  const std::function<void(size_t)>& fn) {
-  const int threads = ResolveThreadCount(num_threads);
-  if (threads <= 1 || n <= 1) {
+  const int width = ResolveThreadCount(num_threads);
+  if (width <= 1 || n <= 1) {
     for (size_t i = 0; i < n; ++i) fn(i);
     return;
   }
-  ThreadPool pool(threads);
-  pool.ParallelFor(n, fn);
+  ProcessPool().RunBatch(n, fn, width);
 }
 
 }  // namespace dq

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
+#include <optional>
 
 #include "common/parallel.h"
 #include "common/strings.h"
@@ -98,8 +98,8 @@ struct C45Tree::BuildContext {
   // Columnar views of the base attributes: ordered_cols[a][row] is the
   // OrderedValue (NaN = null) of ordered base attributes, nominal_cols[a]
   // [row] the category code (-1 = null) of nominal ones. Non-base
-  // attributes stay nullptr. The views alias the shared EncodedDataset
-  // when one is supplied, else per-Train storage owned by Train's frame.
+  // attributes stay nullptr. The views alias an EncodedDataset: the
+  // caller's shared one, or the one Train built for itself.
   std::vector<const double*> ordered_cols;
   std::vector<const int32_t*> nominal_cols;
 
@@ -198,8 +198,6 @@ Status C45Tree::Train(const TrainingData& data) {
   presort_ms_ = 0.0;
   build_ms_ = 0.0;
 
-  const EncodedDataset* cache = data.encoded;
-
   BuildContext ctx;
   ctx.table = table_;
   ctx.base_attrs = data.base_attrs;
@@ -209,65 +207,41 @@ Status C45Tree::Train(const TrainingData& data) {
   ctx.ordered_cols.assign(schema.num_attributes(), nullptr);
   ctx.nominal_cols.assign(schema.num_attributes(), nullptr);
 
-  // Per-Train storage backing the context views on the legacy (uncached)
-  // path; with an EncodedDataset the views alias the shared cache and
-  // these stay empty.
+  // One input path: column views, sort orders and value bins always come
+  // from an EncodedDataset -- the audit-wide cache when the caller shares
+  // one, else one built here over the training table for this call. A
+  // caller without a cache supplies its own encoder, which need not equal
+  // the one Build would fit, so its class codes are taken from `encoder`.
+  std::optional<EncodedDataset> local_cache;
   std::vector<int32_t> class_code_storage;
-  std::vector<std::vector<double>> ordered_storage;
-  std::vector<std::vector<int32_t>> nominal_storage;
-
-  bool has_ordered_base = false;
+  const EncodedDataset* cache = data.encoded;
   if (cache != nullptr) {
-    // Audit-wide cache: column views and class codes were built once for
-    // the whole audit, so this Train call encodes nothing.
     DQ_DCHECK(cache->table() == table_);
     ctx.class_codes = cache->class_codes(static_cast<size_t>(class_attr_));
     if (ctx.class_codes == nullptr) {
       return Status::FailedPrecondition(
           "encoded dataset has no class encoding for the class attribute");
     }
-    for (int a : data.base_attrs) {
-      const size_t attr = static_cast<size_t>(a);
-      if (schema.attribute(attr).type == DataType::kNominal) {
-        ctx.nominal_cols[attr] = cache->nominal_col(attr);
-      } else {
-        ctx.ordered_cols[attr] = cache->ordered_col(attr);
-        has_ordered_base = true;
-      }
-    }
   } else {
-    // Columnar encoding: one dense value column per base attribute, so the
-    // split search and partitioning never chase Row/Value indirections.
-    obs::Span span("c45.encode", class_attr_, &presort_ms_);
+    local_cache.emplace(EncodedDataset::Build(*table_, num_classes_,
+                                              data.num_threads,
+                                              config_.histogram_bins));
+    cache = &*local_cache;
     class_code_storage.resize(num_rows);
     for (size_t r = 0; r < num_rows; ++r) {
       class_code_storage[r] =
           encoder_->Encode(table_->cell(r, static_cast<size_t>(class_attr_)));
     }
     ctx.class_codes = class_code_storage.data();
-    ordered_storage.assign(schema.num_attributes(), {});
-    nominal_storage.assign(schema.num_attributes(), {});
-    for (int a : data.base_attrs) {
-      const size_t attr = static_cast<size_t>(a);
-      if (schema.attribute(attr).type == DataType::kNominal) {
-        std::vector<int32_t>& col = nominal_storage[attr];
-        col.resize(num_rows);
-        for (size_t r = 0; r < num_rows; ++r) {
-          const Value v = table_->cell(r, attr);
-          col[r] = v.is_null() ? -1 : v.nominal_code();
-        }
-        ctx.nominal_cols[attr] = col.data();
-      } else {
-        has_ordered_base = true;
-        std::vector<double>& col = ordered_storage[attr];
-        col.resize(num_rows);
-        for (size_t r = 0; r < num_rows; ++r) {
-          const Value v = table_->cell(r, attr);
-          col[r] = v.is_null() ? std::numeric_limits<double>::quiet_NaN()
-                               : v.OrderedValue();
-        }
-        ctx.ordered_cols[attr] = col.data();
-      }
+  }
+  bool has_ordered_base = false;
+  for (int a : data.base_attrs) {
+    const size_t attr = static_cast<size_t>(a);
+    if (schema.attribute(attr).type == DataType::kNominal) {
+      ctx.nominal_cols[attr] = cache->nominal_col(attr);
+    } else {
+      ctx.ordered_cols[attr] = cache->ordered_col(attr);
+      has_ordered_base = true;
     }
   }
 
@@ -284,7 +258,7 @@ Status C45Tree::Train(const TrainingData& data) {
   }
 
   if (config_.split_mode == SplitMode::kHistogram) {
-    return TrainHistogram(data, &ctx, std::move(insts), has_ordered_base);
+    return TrainHistogram(data, *cache, &ctx, std::move(insts));
   }
 
   ctx.presort = config_.presort && has_ordered_base;
@@ -292,37 +266,22 @@ Status C45Tree::Train(const TrainingData& data) {
   NodeData root_data;
   root_data.insts = std::move(insts);
   if (ctx.presort) {
-    // The one upfront sort (SLIQ-style): every ordered base attribute gets
+    // The one upfront order (SLIQ-style): every ordered base attribute gets
     // a value-ordered list of the root instances with known values; ties
-    // keep row order (stable), so parallel/serial runs agree bitwise.
-    //
-    // Cached path: the shared sort order already holds ALL value-known
-    // rows stable-sorted by (value, row); filtering it down to the rows
-    // with a known class value preserves that order exactly, so the result
-    // is bitwise-identical to the per-Train stable sort — in O(n) per
-    // attribute instead of O(n log n).
+    // keep row order (stable), so parallel/serial runs agree bitwise. The
+    // cache's sort order already holds ALL value-known rows stable-sorted
+    // by (value, row); filtering it down to the rows with a known class
+    // value preserves that order exactly, in O(n) per attribute.
     obs::Span span("c45.presort", class_attr_, &presort_ms_);
     ctx.branch_scratch.assign(num_rows, -2);
     root_data.sorted.assign(schema.num_attributes(), {});
     for (int a : data.base_attrs) {
       const size_t attr = static_cast<size_t>(a);
-      const double* col = ctx.ordered_cols[attr];
-      if (col == nullptr) continue;
+      if (ctx.ordered_cols[attr] == nullptr) continue;
       std::vector<std::pair<uint32_t, double>>& list = root_data.sorted[attr];
       list.reserve(root_data.insts.size());
-      if (cache != nullptr) {
-        const int32_t* class_codes = ctx.class_codes;
-        for (uint32_t r : cache->sort_order(attr)) {
-          if (class_codes[r] >= 0) list.emplace_back(r, 1.0);
-        }
-      } else {
-        for (const auto& inst : root_data.insts) {
-          if (!std::isnan(col[inst.first])) list.push_back(inst);
-        }
-        std::stable_sort(list.begin(), list.end(),
-                         [col](const auto& x, const auto& y) {
-                           return col[x.first] < col[y.first];
-                         });
+      for (uint32_t r : cache->sort_order(attr)) {
+        if (ctx.class_codes[r] >= 0) list.emplace_back(r, 1.0);
       }
     }
   }
@@ -716,8 +675,8 @@ std::unique_ptr<C45Tree::Node> C45Tree::Build(BuildContext* ctx, NodeData data,
 //     are reconstructed as parent minus the scanned siblings;
 //   * the tree grows breadth-wise (level-synchronous frontier), and each
 //     level fans out per-(family, attribute) histogram/eval tasks and
-//     per-node partition tasks onto the Train pool (TrainingData::pool)
-//     via ThreadPool::RunBatch.
+//     per-node partition tasks through ParallelFor at the Train width
+//     (TrainingData::num_threads).
 //
 // Determinism: every task writes pre-assigned slots (a child's histogram
 // slice, a node's eval slot), reductions walk fixed attribute/branch
@@ -782,11 +741,11 @@ struct C45HistogramBuilder {
   C45HistogramBuilder(const C45Config& cfg, const Schema& sch,
                       const C45Tree::BuildContext& context,
                       const std::vector<const AttributeBins*>& bins,
-                      ThreadPool* worker_pool, size_t rows)
+                      int width, size_t rows)
       : config(cfg),
         schema(sch),
         ctx(context),
-        pool(worker_pool),
+        num_threads(width),
         num_rows(rows),
         nc(static_cast<size_t>(context.num_classes)) {
     plans.assign(schema.num_attributes(), AttrPlan{});
@@ -863,8 +822,8 @@ struct C45HistogramBuilder {
   /// identical.
   void RunUnits(size_t n, size_t total_insts,
                 const std::function<void(size_t)>& fn) {
-    if (pool != nullptr && total_insts >= config.parallel_min_insts) {
-      pool->RunBatch(n, fn);
+    if (total_insts >= config.parallel_min_insts) {
+      ParallelFor(num_threads, n, fn);
     } else {
       for (size_t i = 0; i < n; ++i) fn(i);
     }
@@ -1390,7 +1349,7 @@ struct C45HistogramBuilder {
   const C45Config& config;
   const Schema& schema;
   const C45Tree::BuildContext& ctx;
-  ThreadPool* pool;
+  int num_threads;
   size_t num_rows;
   size_t nc;
   std::vector<AttrPlan> plans;
@@ -1405,49 +1364,26 @@ struct C45HistogramBuilder {
       obs::GetCounter("c45.splits_evaluated");
 };
 
-Status C45Tree::TrainHistogram(const TrainingData& data, BuildContext* ctx,
-                               std::vector<std::pair<uint32_t, double>> insts,
-                               bool has_ordered_base) {
+Status C45Tree::TrainHistogram(const TrainingData& data,
+                               const EncodedDataset& cache, BuildContext* ctx,
+                               std::vector<std::pair<uint32_t, double>> insts) {
   const Schema& schema = table_->schema();
   const size_t num_rows = table_->num_rows();
-  const EncodedDataset* cache = data.encoded;
 
-  // Value bins for every ordered base attribute: shared audit-wide bins
-  // from the cache when present, else derived here from a per-Train stable
-  // sort (the uncached analogue of the c45.presort phase).
-  std::vector<AttributeBins> local_bins(schema.num_attributes());
+  // Value bins of every ordered base attribute, built once per table by
+  // the EncodedDataset.
   std::vector<const AttributeBins*> bins(schema.num_attributes(), nullptr);
-  if (has_ordered_base) {
-    obs::Span span("c45.bin", class_attr_, &presort_ms_);
-    for (int a : data.base_attrs) {
-      const size_t attr = static_cast<size_t>(a);
-      const double* col = ctx->ordered_cols[attr];
-      if (col == nullptr) continue;
-      if (cache != nullptr) {
-        bins[attr] = cache->bins(attr);
-        continue;
-      }
-      std::vector<uint32_t> order;
-      order.reserve(num_rows);
-      for (size_t r = 0; r < num_rows; ++r) {
-        if (!std::isnan(col[r])) order.push_back(static_cast<uint32_t>(r));
-      }
-      std::stable_sort(order.begin(), order.end(),
-                       [col](uint32_t x, uint32_t y) {
-                         return col[x] < col[y];
-                       });
-      local_bins[attr] =
-          BuildAttributeBins(col, order, num_rows, config_.histogram_bins);
-      bins[attr] = &local_bins[attr];
-    }
+  for (int a : data.base_attrs) {
+    const size_t attr = static_cast<size_t>(a);
+    if (ctx->ordered_cols[attr] != nullptr) bins[attr] = cache.bins(attr);
   }
 
   {
     obs::Span span("c45.build", class_attr_, &build_ms_);
     std::vector<bool> avail(schema.num_attributes(), false);
     for (int a : data.base_attrs) avail[static_cast<size_t>(a)] = true;
-    C45HistogramBuilder builder(config_, schema, *ctx, bins, data.pool,
-                                num_rows);
+    C45HistogramBuilder builder(config_, schema, *ctx, bins,
+                                data.num_threads, num_rows);
     root_ = builder.Run(std::move(insts), std::move(avail));
     // The recursive path aggregates Def. 9 values (and prunes, in
     // kExpectedErrorConfidence mode) bottom-up during construction; the

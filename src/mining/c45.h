@@ -47,7 +47,7 @@ enum class SplitMode {
   /// node evaluates thresholds by scanning (bin x class) histograms, with
   /// sibling histograms reconstructed by subtraction (parent - scanned
   /// children = largest child) and the node frontier built breadth-wise in
-  /// parallel on the Train pool. Identical trees to kExact whenever every
+  /// parallel at the Train width. Identical trees to kExact whenever every
   /// ordered attribute has at most histogram_bins distinct values;
   /// statistically equivalent audits otherwise.
   kHistogram,
@@ -92,11 +92,11 @@ struct C45Config {
   /// (gain -= log2(distinct-1)/n).
   bool mdl_numeric_correction = true;
 
-  /// SLIQ-style presort: encode the training table into dense per-attribute
-  /// columns and sort every ordered base attribute once up front; each node
-  /// then partitions the sorted index lists stably instead of re-sorting,
-  /// turning numeric split search from O(nodes * rows log rows) into one
-  /// upfront sort plus linear scans. Off = the original per-node
+  /// SLIQ-style presort: derive one value-ordered instance list per
+  /// ordered base attribute from the EncodedDataset sort orders up front;
+  /// each node then partitions the sorted index lists stably instead of
+  /// re-sorting, turning numeric split search from O(nodes * rows log rows)
+  /// into one upfront sort plus linear scans. Off = the original per-node
   /// std::sort path (kept for memory-constrained use and as the
   /// equivalence-test reference). Only meaningful in kExact split mode;
   /// the histogram evaluator never materializes sorted lists.
@@ -116,7 +116,7 @@ struct C45Config {
   bool histogram_subtraction = true;
 
   /// Smallest per-level instance total for which the histogram build
-  /// dispatches node/attribute tasks onto the Train pool; smaller levels
+  /// dispatches node/attribute tasks through ParallelFor; smaller levels
   /// run inline (task overhead would dominate). Identical results either
   /// way.
   size_t parallel_min_insts = 4096;
@@ -165,8 +165,9 @@ class C45Tree : public Classifier {
   size_t LeafCount() const;
   size_t TreeDepth() const;
 
-  /// \brief Wall-clock spent encoding columns + presorting ordered
-  /// attributes in the last Train call (0 when presort is off).
+  /// \brief Wall-clock spent deriving the exact-mode presorted instance
+  /// lists from the EncodedDataset sort orders in the last Train call (0
+  /// when presort is off and in histogram mode).
   double presort_ms() const { return presort_ms_; }
   /// \brief Wall-clock of the recursive tree construction in the last
   /// Train call (split search + partitioning, excluding the presort).
@@ -188,9 +189,9 @@ class C45Tree : public Classifier {
 
   std::unique_ptr<Node> Build(BuildContext* ctx, NodeData data,
                               std::vector<bool> avail, int depth);
-  Status TrainHistogram(const TrainingData& data, BuildContext* ctx,
-                        std::vector<std::pair<uint32_t, double>> insts,
-                        bool has_ordered_base);
+  Status TrainHistogram(const TrainingData& data, const EncodedDataset& cache,
+                        BuildContext* ctx,
+                        std::vector<std::pair<uint32_t, double>> insts);
   void PruneExpectedErrorConf(Node* node);
   double PessimisticErrors(const Node& node) const;
   void PrunePessimistic(Node* node);

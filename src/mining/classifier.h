@@ -25,7 +25,6 @@
 namespace dq {
 
 class EncodedDataset;
-class ThreadPool;
 
 /// \brief A classifier's answer for one record.
 struct Prediction {
@@ -55,16 +54,18 @@ struct TrainingData {
   /// Optional audit-wide encode cache built over `table` (column views,
   /// presort orders, class codes). When set, `encoder` must be the cache's
   /// own encoder for `class_attr` so cached class codes stay consistent.
-  /// Classifiers that understand the cache skip their per-Train encode and
-  /// sort work; others ignore it. Results are identical either way.
+  /// Without it, C4.5 builds an EncodedDataset over `table` itself for the
+  /// one Train call (class codes then come from `encoder`); the other
+  /// classifiers read class codes through `encoder`. Results are identical
+  /// either way.
   const EncodedDataset* encoded = nullptr;
 
-  /// Optional worker pool for intra-Train parallelism (the breadth-wise
-  /// node frontier of histogram-mode C4.5). Classifiers that cannot use it
-  /// ignore it; results are bitwise-identical with and without a pool and
-  /// for every pool size (pre-assigned result slots, deterministic
-  /// reduction order). The pool must outlive the Train call.
-  ThreadPool* pool = nullptr;
+  /// Width of intra-Train parallelism (the breadth-wise node frontier of
+  /// histogram-mode C4.5), dispatched through ParallelFor; 1 = serial.
+  /// Classifiers that cannot use it ignore it; results are
+  /// bitwise-identical for every width (pre-assigned result slots,
+  /// deterministic reduction order).
+  int num_threads = 1;
 
   Status Check() const;
 };

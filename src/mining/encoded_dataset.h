@@ -5,7 +5,8 @@
 // used to rebuild its own columnar encoding and re-sort every ordered
 // column (c45.encode + c45.presort ~30% of induce time at QUIS scale).
 // This cache is built ONCE per audit and shared read-only across all
-// parallel inductions:
+// parallel inductions. It is also C4.5's only input path: a Train call
+// handed no cache builds one over its training table itself.
 //
 //   * column views — for every ordered attribute a dense double column
 //     (NaN = null), for every nominal attribute a dense int32 code column

@@ -64,7 +64,9 @@ std::string FormatUtcTimestamp(int64_t epoch_ms) {
 #else
   gmtime_r(&seconds, &utc);
 #endif
-  char buf[40];
+  // Sized for the widest int every field could hold, so the format can
+  // never truncate (a real timestamp uses 24 bytes).
+  char buf[96];
   std::snprintf(buf, sizeof(buf), "%04d-%02d-%02dT%02d:%02d:%02d.%03dZ",
                 utc.tm_year + 1900, utc.tm_mon + 1, utc.tm_mday, utc.tm_hour,
                 utc.tm_min, utc.tm_sec, millis);

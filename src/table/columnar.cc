@@ -257,8 +257,17 @@ Status CheckColumn(const AttributeDef& def, const std::vector<double>& num,
   return Status::OK();
 }
 
-void FillReport(IngestReport* rep, uint64_t rows, uint64_t bytes,
-                double parse_ms) {
+/// Ingest instrumentation shared by both dqcol entry points (all records
+/// kept — dqcol files are written from already-validated tables, there is
+/// no quarantine path).
+void RecordIngest(IngestReport* rep, uint64_t rows, uint64_t bytes,
+                  double parse_ms) {
+  static obs::Counter* const total = obs::GetCounter("ingest.records_total");
+  static obs::Counter* const kept = obs::GetCounter("ingest.records_kept");
+  static obs::Counter* const read = obs::GetCounter("ingest.bytes_read");
+  total->Add(rows);
+  kept->Add(rows);
+  read->Add(bytes);
   if (rep == nullptr) return;
   *rep = IngestReport();
   rep->records_total = rows;
@@ -266,15 +275,6 @@ void FillReport(IngestReport* rep, uint64_t rows, uint64_t bytes,
   rep->bytes_read = bytes;
   rep->parse_ms = parse_ms;
   rep->threads_used = 1;
-}
-
-void BumpCounters(uint64_t rows, uint64_t bytes) {
-  static obs::Counter* const total = obs::GetCounter("ingest.records_total");
-  static obs::Counter* const kept = obs::GetCounter("ingest.records_kept");
-  static obs::Counter* const read = obs::GetCounter("ingest.bytes_read");
-  total->Add(rows);
-  kept->Add(rows);
-  read->Add(bytes);
 }
 
 }  // namespace
@@ -345,8 +345,7 @@ Result<Schema> ColumnarCodec::ReadSchema(const std::string& path) {
 
 Result<Table> ColumnarCodec::Read(const Schema& schema,
                                   const std::string& path,
-                                  IngestReport* report) {
-  obs::Span span("ingest");
+                                  uint64_t* file_bytes) {
   std::ifstream f(path, std::ios::binary);
   if (!f) {
     return Status::IOError("cannot open '" + path + "' for reading");
@@ -385,17 +384,15 @@ Result<Table> ColumnarCodec::Read(const Schema& schema,
         CheckColumn(schema.attribute(a), c.num, c.code, c.nulls, rows, path));
   }
   t.num_rows_ = rows;
-  const auto bytes = static_cast<uint64_t>(header.file_end);
-  FillReport(report, header.rows, bytes, span.ElapsedMs());
-  BumpCounters(header.rows, bytes);
-  obs::GetGauge("table.bytes")->Set(static_cast<double>(t.byte_size()));
+  if (file_bytes != nullptr) *file_bytes = header.file_end;
   return t;
 }
 
-Status ColumnarCodec::ReadChunks(const Schema& schema,
-                                 const std::string& path, size_t chunk_rows,
-                                 CsvChunkSink* sink, IngestReport* report) {
-  obs::Span span("ingest");
+Result<uint64_t> ColumnarCodec::ReadChunks(const Schema& schema,
+                                           const std::string& path,
+                                           size_t chunk_rows,
+                                           CsvChunkSink* sink,
+                                           uint64_t* file_bytes) {
   std::ifstream f(path, std::ios::binary);
   if (!f) {
     return Status::IOError("cannot open '" + path + "' for reading");
@@ -450,9 +447,29 @@ Status ColumnarCodec::ReadChunks(const Schema& schema,
     keep.assign(n, 1);
     DQ_RETURN_NOT_OK(sink->OnChunk(chunk, keep));
   }
-  const auto bytes = static_cast<uint64_t>(header.file_end);
-  FillReport(report, header.rows, bytes, span.ElapsedMs());
-  BumpCounters(header.rows, bytes);
+  if (file_bytes != nullptr) *file_bytes = header.file_end;
+  return header.rows;
+}
+
+Result<Table> ReadDqcolFile(const Schema& schema, const std::string& path,
+                            IngestReport* report) {
+  obs::Span span("ingest");
+  uint64_t bytes = 0;
+  DQ_ASSIGN_OR_RETURN(Table table, ColumnarCodec::Read(schema, path, &bytes));
+  RecordIngest(report, table.num_rows(), bytes, span.ElapsedMs());
+  obs::GetGauge("table.bytes")->Set(static_cast<double>(table.byte_size()));
+  return table;
+}
+
+Status ReadDqcolFileChunks(const Schema& schema, const std::string& path,
+                           size_t chunk_rows, CsvChunkSink* sink,
+                           IngestReport* report) {
+  obs::Span span("ingest");
+  uint64_t bytes = 0;
+  DQ_ASSIGN_OR_RETURN(
+      const uint64_t rows,
+      ColumnarCodec::ReadChunks(schema, path, chunk_rows, sink, &bytes));
+  RecordIngest(report, rows, bytes, span.ElapsedMs());
   return Status::OK();
 }
 

@@ -2,7 +2,6 @@
 
 #include <fstream>
 #include <functional>
-#include <optional>
 #include <ostream>
 #include <utility>
 
@@ -237,9 +236,6 @@ Status ReadCsvDriver(const Schema& schema, std::istream* in,
 
   const int threads = ResolveThreadCount(options.num_threads);
   rep->threads_used = threads;
-  // One pool for the whole read (a pool per batch would respawn workers).
-  std::optional<ThreadPool> pool;
-  if (threads > 1) pool.emplace(threads);
 
   CsvRecordReader reader(in, options.separator, options.chunk_bytes);
   // `batch` slots are reused across flushes (records land in them straight
@@ -292,11 +288,7 @@ Status ReadCsvDriver(const Schema& schema, std::istream* in,
       DecodeRecord(schema, options, batch[i], &scratch[i], &chunk, i,
                    &decoded[i]);
     };
-    if (pool.has_value()) {
-      pool->ParallelFor(batch_n, decode_one);
-    } else {
-      for (size_t i = 0; i < batch_n; ++i) decode_one(i);
-    }
+    ParallelFor(threads, batch_n, decode_one);
     // Serial bookkeeping in record order (quarantine entries land in the
     // same sequence for every thread count), then one bulk delivery of the
     // kept slots. Under kFail, slots after the failing record stay unkept —

@@ -1,50 +1,16 @@
 #include "table/segment_store.h"
 
+#include <stdlib.h>
+
+#include <cerrno>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <utility>
 
 #include "obs/metrics.h"
+#include "table/columnar.h"
 
 namespace dq {
-
-namespace {
-
-// Spill file layout ("dqseg v1", docs/FORMATS.md): magic, row and attribute
-// counts, then per attribute a type byte, the typed payload and the null
-// bitmap words. Native-endian and schema-less: spill files are ephemeral
-// scratch owned by the store that wrote them, never an interchange format.
-constexpr char kMagic[8] = {'D', 'Q', 'S', 'E', 'G', 'v', '1', '\n'};
-
-template <typename T>
-bool WritePod(std::ofstream* f, const T& v) {
-  f->write(reinterpret_cast<const char*>(&v), sizeof(T));
-  return f->good();
-}
-
-template <typename T>
-bool ReadPod(std::ifstream* f, T* v) {
-  f->read(reinterpret_cast<char*>(v), sizeof(T));
-  return f->good();
-}
-
-template <typename T>
-bool WriteVec(std::ofstream* f, const std::vector<T>& v) {
-  f->write(reinterpret_cast<const char*>(v.data()),
-           static_cast<std::streamsize>(v.size() * sizeof(T)));
-  return f->good();
-}
-
-template <typename T>
-bool ReadVec(std::ifstream* f, std::vector<T>* v, size_t n) {
-  v->resize(n);
-  f->read(reinterpret_cast<char*>(v->data()),
-          static_cast<std::streamsize>(n * sizeof(T)));
-  return f->good() || (n == 0 && !f->bad());
-}
-
-}  // namespace
 
 SegmentStore::SegmentStore(Schema schema, SegmentStoreOptions options)
     : schema_(std::move(schema)),
@@ -56,17 +22,11 @@ SegmentStore::SegmentStore(Schema schema, SegmentStoreOptions options)
 }
 
 SegmentStore::~SegmentStore() {
+  if (run_dir_.empty()) return;
   std::error_code ec;
-  bool any = false;
-  for (const Segment& seg : segments_) {
-    if (!seg.on_disk) continue;
-    std::filesystem::remove(seg.path, ec);
-    any = true;
-  }
-  if (any && !options_.spill_dir.empty()) {
-    // Only removes the directory when nothing else lives there.
-    std::filesystem::remove(options_.spill_dir, ec);
-  }
+  std::filesystem::remove_all(run_dir_, ec);
+  // Only removes the spill root when no other store still spills there.
+  std::filesystem::remove(options_.spill_dir, ec);
 }
 
 Status SegmentStore::Append(const TableChunk& chunk,
@@ -136,45 +96,39 @@ Status SegmentStore::EnforceBudget() {
   return Status::OK();
 }
 
-Status SegmentStore::SpillSegment(Segment* seg) {
-  if (!seg->on_disk) {
-    if (options_.spill_dir.empty()) {
-      return Status::InvalidArgument(
-          "segment store has a memory budget but no spill_dir");
-    }
+Status SegmentStore::MakeRunDir() {
+  if (!run_dir_.empty()) return Status::OK();
+  if (options_.spill_dir.empty()) {
+    return Status::InvalidArgument(
+        "segment store has a memory budget but no spill_dir");
+  }
+  // A concurrent store sharing the root removes it when its own run
+  // directory was the last entry; that can land between creating the root
+  // and creating the run directory, so retry once.
+  for (int attempt = 0; attempt < 2; ++attempt) {
     std::error_code ec;
     std::filesystem::create_directories(options_.spill_dir, ec);
     if (ec) {
       return Status::IOError("cannot create spill dir '" +
                              options_.spill_dir + "': " + ec.message());
     }
+    std::string dir = options_.spill_dir + "/run-XXXXXX";
+    if (::mkdtemp(dir.data()) != nullptr) {
+      run_dir_ = std::move(dir);
+      return Status::OK();
+    }
+    if (errno != ENOENT) break;
+  }
+  return Status::IOError("cannot create a run directory under spill dir '" +
+                         options_.spill_dir + "': " + std::strerror(errno));
+}
+
+Status SegmentStore::SpillSegment(Segment* seg) {
+  if (!seg->on_disk) {
+    DQ_RETURN_NOT_OK(MakeRunDir());
     const size_t index = static_cast<size_t>(seg - segments_.data());
-    seg->path = options_.spill_dir + "/seg-" + std::to_string(index) +
-                ".dqseg";
-    std::ofstream f(seg->path, std::ios::binary | std::ios::trunc);
-    if (!f) {
-      return Status::IOError("cannot open spill file '" + seg->path +
-                             "' for writing");
-    }
-    const Table& t = *seg->table;
-    f.write(kMagic, sizeof(kMagic));
-    bool ok = f.good();
-    ok = ok && WritePod(&f, static_cast<uint64_t>(t.num_rows()));
-    ok = ok && WritePod(&f, static_cast<uint64_t>(t.num_attributes()));
-    for (size_t a = 0; ok && a < t.num_attributes(); ++a) {
-      const Table::Column& c = t.cols_[a];
-      ok = ok && WritePod(&f, static_cast<uint8_t>(c.type));
-      if (c.type == DataType::kNumeric) {
-        ok = ok && WriteVec(&f, c.num);
-      } else {
-        ok = ok && WriteVec(&f, c.code);
-      }
-      ok = ok && WriteVec(&f, c.nulls);
-    }
-    f.flush();
-    if (!ok || !f.good()) {
-      return Status::IOError("short write to spill file '" + seg->path + "'");
-    }
+    seg->path = run_dir_ + "/seg-" + std::to_string(index) + ".dqcol";
+    DQ_RETURN_NOT_OK(WriteDqcolFile(*seg->table, seg->path));
     seg->on_disk = true;
     ++stats_.spill_writes;
     const auto written =
@@ -194,54 +148,21 @@ Status SegmentStore::SpillSegment(Segment* seg) {
 }
 
 Status SegmentStore::LoadSegment(Segment* seg) {
-  std::ifstream f(seg->path, std::ios::binary);
-  if (!f) {
-    return Status::IOError("cannot open spill file '" + seg->path +
-                           "' for reading");
-  }
-  char magic[sizeof(kMagic)];
-  f.read(magic, sizeof(magic));
-  if (!f.good() || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    return Status::IOError("spill file '" + seg->path +
-                           "' is not a dqseg v1 file");
-  }
-  uint64_t rows = 0;
-  uint64_t attrs = 0;
-  if (!ReadPod(&f, &rows) || !ReadPod(&f, &attrs) || rows != seg->rows ||
-      attrs != schema_.num_attributes()) {
+  // The bare codec read: a spill reload is paging, not ingest, so it
+  // records only segstore.* traffic.
+  uint64_t read_bytes = 0;
+  DQ_ASSIGN_OR_RETURN(Table t,
+                      ColumnarCodec::Read(schema_, seg->path, &read_bytes));
+  if (t.num_rows() != seg->rows) {
     return Status::IOError("spill file '" + seg->path +
                            "' does not match its segment");
   }
-  Table t(schema_);
-  const size_t words = (seg->rows + 63) >> 6;
-  for (size_t a = 0; a < t.num_attributes(); ++a) {
-    Table::Column& c = t.cols_[a];
-    uint8_t type = 0;
-    if (!ReadPod(&f, &type) || type != static_cast<uint8_t>(c.type)) {
-      return Status::IOError("spill file '" + seg->path +
-                             "' column type mismatch");
-    }
-    bool ok;
-    if (c.type == DataType::kNumeric) {
-      ok = ReadVec(&f, &c.num, seg->rows);
-    } else {
-      ok = ReadVec(&f, &c.code, seg->rows);
-    }
-    ok = ok && ReadVec(&f, &c.nulls, words);
-    if (!ok) {
-      return Status::IOError("short read from spill file '" + seg->path +
-                             "'");
-    }
-  }
-  t.num_rows_ = seg->rows;
   seg->table = std::move(t);
   resident_bytes_ += seg->bytes;
   if (resident_bytes_ > stats_.resident_bytes_peak) {
     stats_.resident_bytes_peak = resident_bytes_;
   }
   ++stats_.spill_reads;
-  const uint64_t read_bytes =
-      static_cast<uint64_t>(std::filesystem::file_size(seg->path));
   stats_.spill_bytes_read += read_bytes;
   static obs::Counter* const reads = obs::GetCounter("segstore.spill_reads");
   static obs::Counter* const rbytes =

@@ -4,11 +4,12 @@
 // Ingest appends decoded chunks into an open segment; once the open segment
 // reaches segment_rows it is sealed and becomes immutable. Sealed segments
 // are the paging unit: when resident bytes exceed memory_budget_bytes the
-// store writes the oldest unpinned resident segment to a spill file
-// ("dqseg v1", docs/FORMATS.md) and frees its columns. Pin() brings a
-// spilled segment back; because sealed segments never change, the spill
-// file is written once and re-eviction is a free drop of the in-memory
-// copy. Segment boundaries depend only on the record sequence — never on
+// store writes the oldest unpinned resident segment to a dqcol spill file
+// (table/columnar.h) and frees its columns. Pin() brings a spilled segment
+// back through the dqcol reader, so a damaged spill file fails its schema,
+// domain and null-sentinel checks instead of loading garbage. Because
+// sealed segments never change, the spill file is written once and
+// re-eviction is a free drop of the in-memory copy. Segment boundaries depend only on the record sequence — never on
 // the budget — so any consumer that walks segments in order sees bitwise
 // identical data whether nothing, some, or everything spilled.
 //
@@ -37,8 +38,9 @@ struct SegmentStoreOptions {
   /// Resident-byte cap across all segments; 0 = unlimited (never spill).
   uint64_t memory_budget_bytes = 0;
 
-  /// Directory for spill files (created if missing). Required when
-  /// memory_budget_bytes > 0.
+  /// Spill root (created if missing). Each store spills into its own
+  /// fresh subdirectory of it, so stores sharing a root never touch each
+  /// other's files. Required when memory_budget_bytes > 0.
   std::string spill_dir;
 };
 
@@ -52,7 +54,7 @@ class SegmentStore {
   SegmentStore(Schema schema, SegmentStoreOptions options);
 
   /// Spill files are scratch owned by this store; the destructor deletes
-  /// them (and the spill directory, if it emptied out).
+  /// its run subdirectory, then the spill root if that emptied out.
   ~SegmentStore();
 
   SegmentStore(const SegmentStore&) = delete;
@@ -118,6 +120,7 @@ class SegmentStore {
   };
 
   Status SealOpen();
+  Status MakeRunDir();
   Status EnforceBudget();
   Status SpillSegment(Segment* seg);
   Status LoadSegment(Segment* seg);
@@ -131,6 +134,7 @@ class SegmentStore {
   size_t num_rows_ = 0;
   uint64_t resident_bytes_ = 0;  ///< sealed residents + open segment
   bool finished_ = false;
+  std::string run_dir_;  ///< this store's subdirectory of spill_dir
   Stats stats_;
 };
 

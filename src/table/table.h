@@ -243,12 +243,10 @@ class Table {
   Status Validate() const;
 
  private:
-  // The segment store serializes column payloads verbatim to its spill
-  // files and rebuilds them on load; it is the table's paging layer, so it
-  // sees the raw columns instead of a public raw-mutation API. The dqcol
-  // codec (table/columnar.h) is the interchange-format sibling of that
-  // path and reads/writes the same raw columns.
-  friend class SegmentStore;
+  // The dqcol codec (table/columnar.h) stores column payloads verbatim and
+  // rebuilds them on load -- for interchange files and for the segment
+  // store's spill files alike -- so it sees the raw columns instead of a
+  // public raw-mutation API.
   friend class ColumnarCodec;
 
   struct Column {

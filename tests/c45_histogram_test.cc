@@ -131,7 +131,7 @@ Table QuantizedTable(size_t rows, uint64_t seed) {
 }
 
 C45Tree TrainTree(const Table& t, const ClassEncoder& enc, C45Config cfg,
-                  ThreadPool* pool = nullptr,
+                  int num_threads = 1,
                   const EncodedDataset* cache = nullptr) {
   TrainingData td;
   td.table = &t;
@@ -139,7 +139,7 @@ C45Tree TrainTree(const Table& t, const ClassEncoder& enc, C45Config cfg,
   td.base_attrs = {0, 1, 2};
   td.encoder = &enc;
   td.encoded = cache;
-  td.pool = pool;
+  td.num_threads = num_threads;
   cfg.min_error_confidence = 0.8;
   C45Tree tree(cfg);
   EXPECT_TRUE(tree.Train(td).ok());
@@ -193,11 +193,11 @@ TEST(C45HistogramTest, MatchesExactThroughTheSharedEncodeCache) {
 
   C45Config exact_cfg;
   exact_cfg.split_mode = SplitMode::kExact;
-  const C45Tree exact = TrainTree(t, *enc, exact_cfg, nullptr, &cache);
+  const C45Tree exact = TrainTree(t, *enc, exact_cfg, 1, &cache);
 
   C45Config hist_cfg;
   hist_cfg.split_mode = SplitMode::kHistogram;
-  const C45Tree hist = TrainTree(t, *enc, hist_cfg, nullptr, &cache);
+  const C45Tree hist = TrainTree(t, *enc, hist_cfg, 1, &cache);
 
   ExpectSameTrees(exact, hist, t);
 }
@@ -228,8 +228,7 @@ TEST(C45HistogramTest, NodeParallelInductionIsBitwiseThreadInvariant) {
   cfg.parallel_min_insts = 1;  // force pooled dispatch on every level
   const C45Tree serial = TrainTree(t, *enc, cfg);
   for (const int threads : {1, 2, 8}) {
-    ThreadPool pool(threads);
-    const C45Tree pooled = TrainTree(t, *enc, cfg, &pool);
+    const C45Tree pooled = TrainTree(t, *enc, cfg, threads);
     ExpectSameTrees(serial, pooled, t);
   }
 }

@@ -155,7 +155,9 @@ TEST(ColumnarTest, ChunkedReadEqualsWholeLoad) {
         ReadDqcolFileChunks(schema, path, chunk_rows, &sink).ok())
         << "chunk_rows=" << chunk_rows;
     ExpectTablesBitwiseEqual(*whole, sink.table());
-    if (chunk_rows >= 1000) EXPECT_EQ(sink.chunks(), 1u);
+    if (chunk_rows >= 1000) {
+      EXPECT_EQ(sink.chunks(), 1u);
+    }
   }
 }
 

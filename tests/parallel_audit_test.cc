@@ -126,6 +126,24 @@ TEST(ParallelAuditTest, WideThreadCountsAgreeWithSerial) {
   }
 }
 
+TEST(ParallelAuditTest, AuditSharesOneProcessPool) {
+  // Every parallel loop of Induce (encode, induction) and Audit (scoring)
+  // runs on the one process pool: at most its creation shows up here,
+  // never a pool per call site.
+  Table t = PlantedTable(2000, 3, 42);
+  AuditorConfig cfg;
+  cfg.num_threads = 4;
+  Auditor auditor(cfg);
+  obs::SyncPoolMetrics();
+  const double before = obs::GetGauge("pool.pools_created")->Value();
+  auto model = auditor.Induce(t);
+  ASSERT_TRUE(model.ok());
+  auto report = auditor.Audit(*model, t);
+  ASSERT_TRUE(report.ok());
+  obs::SyncPoolMetrics();
+  EXPECT_LE(obs::GetGauge("pool.pools_created")->Value() - before, 1.0);
+}
+
 TEST(ParallelAuditTest, EncodeCacheIsBuiltOncePerAudit) {
   Table t = PlantedTable(2000, 3, 42);
   obs::Counter* const builds = obs::GetCounter("audit.encode_builds");

@@ -1,12 +1,14 @@
-// Tests for the thread pool and the deterministic-seeding helpers that the
-// parallel audit pipeline builds on.
+// Tests for the thread pool, the process-wide ParallelFor and the
+// deterministic-seeding helpers that the parallel audit pipeline builds on.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <mutex>
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "common/parallel.h"
@@ -22,7 +24,7 @@ TEST(ResolveThreadCountTest, AutoMapsToHardware) {
 
 TEST(ResolveThreadCountTest, NegativeMapsToHardwareDefault) {
   // Negative and zero requests normalize to the same documented behavior
-  // (the hardware default) across every CLI and ThreadPool construction.
+  // (the hardware default) across every CLI and ParallelFor width.
   EXPECT_EQ(ResolveThreadCount(-1), HardwareThreads());
   EXPECT_EQ(ResolveThreadCount(-100), HardwareThreads());
 }
@@ -53,7 +55,7 @@ TEST(ThreadPoolTest, FutureCarriesException) {
 TEST(ThreadPoolTest, ParallelForCoversEveryIndexOnce) {
   ThreadPool pool(4);
   std::vector<int> hits(1000, 0);
-  pool.ParallelFor(hits.size(), [&](size_t i) { ++hits[i]; });
+  pool.RunBatch(hits.size(), [&](size_t i) { ++hits[i]; });
   EXPECT_EQ(std::accumulate(hits.begin(), hits.end(), 0), 1000);
   EXPECT_EQ(*std::min_element(hits.begin(), hits.end()), 1);
   EXPECT_EQ(*std::max_element(hits.begin(), hits.end()), 1);
@@ -61,18 +63,18 @@ TEST(ThreadPoolTest, ParallelForCoversEveryIndexOnce) {
 
 TEST(ThreadPoolTest, ParallelForRethrowsTaskException) {
   ThreadPool pool(4);
-  EXPECT_THROW(pool.ParallelFor(100,
-                                [](size_t i) {
-                                  if (i == 57) {
-                                    throw std::runtime_error("bad index");
-                                  }
-                                }),
+  EXPECT_THROW(pool.RunBatch(100,
+                             [](size_t i) {
+                               if (i == 57) {
+                                 throw std::runtime_error("bad index");
+                               }
+                             }),
                std::runtime_error);
 }
 
 TEST(ThreadPoolTest, EmptyRangeIsANoOp) {
   ThreadPool pool(2);
-  pool.ParallelFor(0, [](size_t) { FAIL() << "must not be called"; });
+  pool.RunBatch(0, [](size_t) { FAIL() << "must not be called"; });
 }
 
 TEST(FreeParallelForTest, InlineAndPooledCoverTheSameIndices) {
@@ -88,6 +90,41 @@ TEST(FreeParallelForTest, MoreThreadsThanItems) {
   std::vector<int> hits(3, 0);
   ParallelFor(16, hits.size(), [&](size_t i) { ++hits[i]; });
   EXPECT_EQ(hits, (std::vector<int>{1, 1, 1}));
+}
+
+TEST(ThreadPoolTest, RunBatchWidthCapsParticipants) {
+  ThreadPool pool(4);
+  std::mutex mu;
+  std::set<std::thread::id> seen;
+  pool.RunBatch(4096, [&](size_t) {
+    std::lock_guard<std::mutex> lock(mu);
+    seen.insert(std::this_thread::get_id());
+  }, 2);
+  EXPECT_LE(seen.size(), 2u);
+}
+
+TEST(FreeParallelForTest, NestedLoopsCoverEveryIndexOnce) {
+  // Width > 1 at both levels: inner loops run on pool workers while the
+  // outer loop holds them, so progress relies on callers draining their
+  // own loops.
+  constexpr size_t kOuter = 16;
+  constexpr size_t kInner = 1000;
+  std::vector<std::atomic<int>> hits(kOuter * kInner);
+  ParallelFor(4, kOuter, [&](size_t o) {
+    ParallelFor(4, kInner, [&](size_t i) { ++hits[o * kInner + i]; });
+  });
+  for (size_t i = 0; i < hits.size(); ++i) {
+    ASSERT_EQ(hits[i].load(), 1) << "index " << i;
+  }
+}
+
+TEST(FreeParallelForTest, CallsShareOneProcessPool) {
+  ParallelFor(4, 64, [](size_t) {});
+  const uint64_t before = GlobalPoolStats().pools_created;
+  for (int threads : {2, 4, 8}) {
+    ParallelFor(threads, 1000, [](size_t) {});
+  }
+  EXPECT_EQ(GlobalPoolStats().pools_created, before);
 }
 
 TEST(TaskSeedTest, DeterministicAcrossCalls) {

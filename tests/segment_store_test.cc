@@ -1,15 +1,18 @@
 // SegmentStore: seal/spill/reload round-trips, budget enforcement, spill
-// hygiene; ReservoirSampler: determinism, chunking-invariance, k >= n
+// hygiene and isolation, damaged spill files; ReservoirSampler: determinism, chunking-invariance, k >= n
 // degeneration.
 
 #include "table/segment_store.h"
 
 #include <filesystem>
+#include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
 #include "mining/sample.h"
+#include "obs/metrics.h"
 #include "table/table.h"
 
 namespace dq {
@@ -183,6 +186,131 @@ TEST(SegmentStoreTest, SpillFilesAreRemovedOnDestruction) {
     EXPECT_TRUE(std::filesystem::exists(dir));
   }
   EXPECT_FALSE(std::filesystem::exists(dir));
+}
+
+TEST(SegmentStoreTest, StoresSharingASpillDirKeepTheirOwnFiles) {
+  // Two stores spilling into one root at the same time (two concurrent
+  // budgeted audits of one input) must never read each other's files.
+  const Schema schema = TestSchema();
+  const std::string dir = UniqueSpillDir("shared");
+  SegmentStoreOptions options;
+  options.segment_rows = 40;
+  options.memory_budget_bytes = 1;  // evict everything evictable
+  options.spill_dir = dir;
+  auto first = std::make_unique<SegmentStore>(schema, options);
+  SegmentStore second(schema, options);
+  // Different contents per store: the second one is fed a shifted stream.
+  const Table ref_first = FeedStore(schema, first.get(), 200, 40);
+  Table ref_second(schema);
+  {
+    TableChunk chunk(schema);
+    for (size_t r0 = 0; r0 < 240; r0 += 40) {
+      chunk.Reset(40);
+      for (size_t i = 0; i < 40; ++i) {
+        const Row row = MakeRow(1000 + r0 + i);
+        for (size_t a = 0; a < row.size(); ++a) chunk.Set(i, a, row[a]);
+        ref_second.AppendRowUnchecked(row);
+      }
+      ASSERT_TRUE(second.Append(chunk).ok());
+    }
+  }
+  ASSERT_TRUE(first->Finish().ok());
+  ASSERT_TRUE(second.Finish().ok());
+  ASSERT_GT(first->stats().spill_writes, 0u);
+  ASSERT_GT(second.stats().spill_writes, 0u);
+
+  // A spill reload is paging, not ingest.
+  obs::Counter* const ingested = obs::GetCounter("ingest.records_total");
+  const uint64_t ingested_before = ingested->Value();
+  // Interleave reloads of equally numbered segments across the stores.
+  for (size_t s = 0; s < first->num_segments(); ++s) {
+    auto a = first->Pin(s);
+    auto b = second.Pin(s);
+    ASSERT_TRUE(a.ok()) << a.status().ToString();
+    ASSERT_TRUE(b.ok()) << b.status().ToString();
+    for (size_t r = 0; r < (*a)->num_rows(); ++r) {
+      const size_t base_a = first->segment_base_row(s);
+      const size_t base_b = second.segment_base_row(s);
+      for (size_t c = 0; c < 3; ++c) {
+        ASSERT_TRUE((*a)->cell(r, c).StrictEquals(
+            ref_first.cell(base_a + r, c)));
+        ASSERT_TRUE((*b)->cell(r, c).StrictEquals(
+            ref_second.cell(base_b + r, c)));
+      }
+    }
+    ASSERT_TRUE(first->Unpin(s).ok());
+    ASSERT_TRUE(second.Unpin(s).ok());
+  }
+  EXPECT_GT(first->stats().spill_reads, 0u);
+  EXPECT_EQ(ingested->Value(), ingested_before);
+
+  // The first store leaving takes only its own files with it.
+  first.reset();
+  EXPECT_TRUE(std::filesystem::exists(dir));
+  Table assembled;
+  ASSERT_TRUE(second.Materialize(&assembled).ok());
+  ExpectTablesEqual(ref_second, assembled);
+}
+
+/// Path of segment `index`'s spill file somewhere under `dir`.
+std::string FindSpillFile(const std::string& dir, size_t index) {
+  const std::string name = "seg-" + std::to_string(index) + ".dqcol";
+  for (const auto& entry :
+       std::filesystem::recursive_directory_iterator(dir)) {
+    if (entry.path().filename() == name) return entry.path().string();
+  }
+  return "";
+}
+
+TEST(SegmentStoreTest, DamagedSpillFileYieldsStatus) {
+  const Schema schema = TestSchema();
+  enum class Damage { kMagic, kTruncated, kOutOfDomainCode };
+  for (Damage damage :
+       {Damage::kMagic, Damage::kTruncated, Damage::kOutOfDomainCode}) {
+    const std::string dir =
+        UniqueSpillDir("damaged" + std::to_string(static_cast<int>(damage)));
+    SegmentStoreOptions options;
+    options.segment_rows = 64;
+    options.memory_budget_bytes = 1;
+    options.spill_dir = dir;
+    SegmentStore store(schema, options);
+    (void)FeedStore(schema, &store, 256, 64);
+    ASSERT_TRUE(store.Finish().ok());
+    ASSERT_FALSE(store.segment_resident(0));
+    const std::string path = FindSpillFile(dir, 0);
+    ASSERT_FALSE(path.empty());
+
+    const size_t rows = store.segment_num_rows(0);
+    const auto size = std::filesystem::file_size(path);
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(f.good());
+    switch (damage) {
+      case Damage::kMagic:
+        f.seekp(0);
+        f.put('X');
+        break;
+      case Damage::kTruncated:
+        f.close();
+        std::filesystem::resize_file(path, size - 10);
+        break;
+      case Damage::kOutOfDomainCode: {
+        // The column blocks close the file: per attribute a type byte, the
+        // payload and the null bitmap. Row 1 of "color" (attribute 0) is
+        // non-null; give it a code past the three categories.
+        const size_t words = (rows + 63) / 64;
+        const size_t columns = (1 + 4 * rows + 8 * words) +
+                               (1 + 8 * rows + 8 * words) +
+                               (1 + 4 * rows + 8 * words);
+        const int32_t bad_code = 7;
+        f.seekp(static_cast<std::streamoff>(size - columns + 1 + 4));
+        f.write(reinterpret_cast<const char*>(&bad_code), sizeof(bad_code));
+        break;
+      }
+    }
+    if (f.is_open()) f.close();
+    auto pinned = store.Pin(0);
+    EXPECT_FALSE(pinned.ok()) << "damage " << static_cast<int>(damage);
+  }
 }
 
 TEST(ReservoirSamplerTest, SameSeedSameStreamSameSample) {

@@ -194,5 +194,30 @@ if [ -e "$WORK/quis.spill" ]; then
   echo "spill dir survived the audit" >&2
   exit 1
 fi
+# Concurrent budgeted audits of one input share its default spill root
+# (<data>.spill); each spills into its own run directory, so both succeed,
+# agree, and leave no spill root behind. Three rounds over a 30k-row input
+# make the runs overlap long enough for a shared spill file to be deleted
+# under the slower one.
+"$DQGEN" --quis --records 30000 --seed 11 --clean "$WORK/race.csv" \
+  > /dev/null
+race_audit() {
+  "$DQAUDIT" --schema "$QUIS_SPEC" --data "$WORK/race.csv" --min-conf 0.8 \
+    --top 3 --memory-budget 256K --segment-rows 1000 --report "$1" \
+    > /dev/null
+}
+for round in 1 2 3; do
+  race_audit "$WORK/race_1.csv" &
+  RACE1=$!
+  race_audit "$WORK/race_2.csv" &
+  RACE2=$!
+  wait "$RACE1"
+  wait "$RACE2"
+  cmp "$WORK/race_1.csv" "$WORK/race_2.csv"
+done
+if [ -e "$WORK/race.csv.spill" ]; then
+  echo "shared spill root survived the concurrent audits" >&2
+  exit 1
+fi
 
 echo "cli round trip OK ($AUDIT_N suspicious records)"

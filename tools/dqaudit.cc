@@ -310,6 +310,34 @@ Result<InducerKind> InducerFromName(const std::string& name) {
   return Status::InvalidArgument("unknown inducer '" + name + "'");
 }
 
+/// Prints the timings line, the suspicious count and the top-ranked rows;
+/// the in-memory and the out-of-core audit report their outcome alike.
+void PrintAuditOutcome(const Options& opts, const Schema& schema,
+                       const AuditTimings& timings, size_t total_rows,
+                       const std::vector<Suspicion>& suspicious) {
+  std::printf("timings (threads=%d): ingest %.1f ms, induce %.1f ms "
+              "(encode %.1f ms, c4.5 presort %.1f ms, tree build %.1f ms), "
+              "audit %.1f ms\n",
+              timings.threads_used, timings.ingest_ms, timings.induce_ms,
+              timings.encode_ms, timings.presort_ms, timings.tree_build_ms,
+              timings.audit_ms);
+  std::printf("%zu of %zu records suspicious at minimal error confidence "
+              "%.2f\n",
+              suspicious.size(), total_rows, opts.min_conf);
+  const size_t limit =
+      std::min<size_t>(suspicious.size(), static_cast<size_t>(opts.top));
+  for (size_t i = 0; i < limit; ++i) {
+    const Suspicion& s = suspicious[i];
+    std::printf("  row %6zu  conf %.4f  %s = %s -> suggest %s (support "
+                "%.0f)\n",
+                s.row, s.error_confidence,
+                schema.attribute(static_cast<size_t>(s.attr)).name.c_str(),
+                schema.ValueToString(s.attr, s.observed).c_str(),
+                schema.ValueToString(s.attr, s.suggestion).c_str(),
+                s.support);
+  }
+}
+
 int Fail(const Status& status) {
   DQ_LOG_ERROR("dqaudit", "%s", status.ToString().c_str());
   return 1;
@@ -499,27 +527,8 @@ int main(int argc, char** argv) {
                   opts.save_model_path.c_str());
     }
     const AuditTimings& timings = result->timings;
-    std::printf("timings (threads=%d): ingest %.1f ms, induce %.1f ms "
-                "(encode %.1f ms, c4.5 presort %.1f ms, tree build %.1f ms), "
-                "audit %.1f ms\n",
-                timings.threads_used, timings.ingest_ms, timings.induce_ms,
-                timings.encode_ms, timings.presort_ms, timings.tree_build_ms,
-                timings.audit_ms);
-    std::printf("%zu of %zu records suspicious at minimal error confidence "
-                "%.2f\n",
-                result->suspicious.size(), result->total_rows, opts.min_conf);
-    const size_t limit = std::min<size_t>(result->suspicious.size(),
-                                          static_cast<size_t>(opts.top));
-    for (size_t i = 0; i < limit; ++i) {
-      const Suspicion& s = result->suspicious[i];
-      std::printf("  row %6zu  conf %.4f  %s = %s -> suggest %s (support "
-                  "%.0f)\n",
-                  s.row, s.error_confidence,
-                  schema->attribute(static_cast<size_t>(s.attr)).name.c_str(),
-                  schema->ValueToString(s.attr, s.observed).c_str(),
-                  schema->ValueToString(s.attr, s.suggestion).c_str(),
-                  s.support);
-    }
+    PrintAuditOutcome(opts, *schema, timings, result->total_rows,
+                      result->suspicious);
     if (!opts.report_path.empty()) {
       Status written = WriteStreamAuditReportCsvFile(result->suspicious,
                                                      *schema,
@@ -669,27 +678,8 @@ int main(int argc, char** argv) {
     auto audited = auditor.Audit(*model, *data, &timings);
     if (!audited.ok()) return Fail(audited.status());
     report = std::move(*audited);
-    std::printf("timings (threads=%d): ingest %.1f ms, induce %.1f ms "
-                "(encode %.1f ms, c4.5 presort %.1f ms, tree build %.1f ms), "
-                "audit %.1f ms\n",
-                timings.threads_used, timings.ingest_ms, timings.induce_ms,
-                timings.encode_ms, timings.presort_ms, timings.tree_build_ms,
-                timings.audit_ms);
-    std::printf("%zu of %zu records suspicious at minimal error confidence "
-                "%.2f\n",
-                report.NumFlagged(), data->num_rows(), opts.min_conf);
-    const size_t limit = std::min<size_t>(report.suspicious.size(),
-                                          static_cast<size_t>(opts.top));
-    for (size_t i = 0; i < limit; ++i) {
-      const Suspicion& s = report.suspicious[i];
-      std::printf("  row %6zu  conf %.4f  %s = %s -> suggest %s (support "
-                  "%.0f)\n",
-                  s.row, s.error_confidence,
-                  schema->attribute(static_cast<size_t>(s.attr)).name.c_str(),
-                  schema->ValueToString(s.attr, s.observed).c_str(),
-                  schema->ValueToString(s.attr, s.suggestion).c_str(),
-                  s.support);
-    }
+    PrintAuditOutcome(opts, *schema, timings, data->num_rows(),
+                      report.suspicious);
 
     for (int i = 0; i < opts.explain &&
                     static_cast<size_t>(i) < report.suspicious.size();
