@@ -47,9 +47,12 @@ Result<SuspicionDetail> ExplainRecord(const AuditModel& model,
 
 /// \brief Renders a detail as a human-readable review sheet: per dissenting
 /// classifier the observed value, predicted value, confidence, support and
-/// the head of the predicted distribution.
+/// the head of the predicted distribution. `data` holds the record at
+/// detail.row; when it is one segment of a larger table, `base_row` (the
+/// segment's first global row) makes the sheet name the global row.
 std::string RenderSuspicionDetail(const SuspicionDetail& detail,
-                                  const AuditModel& model, const Table& data);
+                                  const AuditModel& model, const Table& data,
+                                  size_t base_row = 0);
 
 }  // namespace dq
 

@@ -31,8 +31,15 @@ struct AuditSummary {
   std::vector<AttributeSummary> by_attribute;
 };
 
+/// \brief Summarizes ranked suspicions over `records` audited records.
+AuditSummary SummarizeSuspicions(const std::vector<Suspicion>& suspicious,
+                                 size_t records);
+
 /// \brief Builds the summary from a report.
-AuditSummary SummarizeReport(const AuditReport& report, const Table& data);
+inline AuditSummary SummarizeReport(const AuditReport& report,
+                                    const Table& data) {
+  return SummarizeSuspicions(report.suspicious, data.num_rows());
+}
 
 /// \brief Renders the summary as an aligned text table.
 std::string RenderAuditSummary(const AuditSummary& summary,

@@ -9,20 +9,14 @@ namespace dq {
 
 Status WriteAuditReportCsv(const AuditReport& report, const Table& data,
                            std::ostream* out) {
-  // Same writer the streaming audit uses (so both paths emit identical
-  // bytes); the only in-memory extra is the row bounds check, which the
-  // streaming path cannot do (it never holds the full table).
+  // The pipeline's writer (audit/stream_audit.h), after the one check it
+  // cannot make without the table: every reported row exists.
   for (const Suspicion& s : report.suspicious) {
     if (s.row >= data.num_rows()) {
       return Status::InvalidArgument("report does not match the table");
     }
   }
-  Status written =
-      WriteStreamAuditReportCsv(report.suspicious, data.schema(), out);
-  if (!written.ok() && written.IsInvalidArgument()) {
-    return Status::InvalidArgument("report does not match the table");
-  }
-  return written;
+  return WriteStreamAuditReportCsv(report.suspicious, data.schema(), out);
 }
 
 Status WriteAuditReportCsvFile(const AuditReport& report, const Table& data,

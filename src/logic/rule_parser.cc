@@ -229,8 +229,18 @@ class Parser {
 
   Result<Formula> ParseUnit() {
     if (Peek().kind == TokenKind::kLParen) {
+      // The descent recurses once per parenthesis, so unbounded nesting
+      // would overflow the stack instead of failing with a Status.
+      if (depth_ == kMaxNesting) {
+        return Error(ParseError::Kind::kSyntax, Peek(),
+                     "parentheses nested deeper than " +
+                         std::to_string(kMaxNesting));
+      }
       Advance();
-      DQ_ASSIGN_OR_RETURN(Formula inner, ParseOr());
+      ++depth_;
+      Result<Formula> parsed = ParseOr();
+      --depth_;
+      DQ_ASSIGN_OR_RETURN(Formula inner, std::move(parsed));
       if (Peek().kind != TokenKind::kRParen) {
         return Error(ParseError::Kind::kSyntax, Peek(), "expected ')'");
       }
@@ -318,8 +328,11 @@ class Parser {
     return Formula::MakeAtom(atom);
   }
 
+  static constexpr int kMaxNesting = 256;
+
   const Schema& schema_;
   std::vector<Token> tokens_;
+  int depth_ = 0;  ///< open parentheses around the current position
   size_t line_ = 1;
   size_t pos_ = 0;
   ParseError error_;

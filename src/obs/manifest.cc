@@ -8,6 +8,9 @@
 #include <fstream>
 #include <sstream>
 
+#include "obs/metrics.h"
+#include "obs/trace.h"
+
 namespace dq::obs {
 
 namespace {
@@ -192,6 +195,27 @@ Status AddInputFileHash(RunManifest* manifest, const std::string& label,
   contents << in.rdbuf();
   manifest->input_hashes.emplace_back(label,
                                       HashHex(Fnv1a64(contents.str())));
+  return Status::OK();
+}
+
+Status ExportRun(RunManifest* manifest, const std::string& trace_path,
+                 const std::string& metrics_path, std::FILE* announce) {
+  manifest->StampWallClock();
+  if (!trace_path.empty()) {
+    DQ_RETURN_NOT_OK(Tracer::Global().WriteChromeTraceFile(trace_path,
+                                                           manifest));
+    if (announce != nullptr) {
+      std::fprintf(announce, "wrote trace to %s\n", trace_path.c_str());
+    }
+  }
+  if (!metrics_path.empty()) {
+    SyncPoolMetrics();
+    DQ_RETURN_NOT_OK(
+        MetricsRegistry::Global().WriteJsonFile(metrics_path, manifest));
+    if (announce != nullptr) {
+      std::fprintf(announce, "wrote metrics to %s\n", metrics_path.c_str());
+    }
+  }
   return Status::OK();
 }
 

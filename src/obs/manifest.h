@@ -8,6 +8,7 @@
 #define DQ_OBS_MANIFEST_H_
 
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -91,6 +92,15 @@ RunManifest MakeRunManifest(std::string tool, int argc,
 /// Unreadable files fail with IOError and leave the manifest unchanged.
 Status AddInputFileHash(RunManifest* manifest, const std::string& label,
                         const std::string& path);
+
+/// \brief A tool run's observability export: stamps the manifest's wall
+/// clock, then writes the span tree as Chrome trace-event JSON to
+/// `trace_path` and the metrics snapshot to `metrics_path` (each skipped
+/// when empty), both carrying the manifest. With `announce`, each written
+/// file is named on it ("wrote trace to PATH", "wrote metrics to PATH").
+Status ExportRun(RunManifest* manifest, const std::string& trace_path,
+                 const std::string& metrics_path,
+                 std::FILE* announce = nullptr);
 
 }  // namespace dq::obs
 

@@ -58,6 +58,10 @@ Status SegmentStore::Finish() {
     resident_bytes_ -= open_bytes_;
     open_bytes_ = 0;
   }
+  // The ingested table's footprint, as a whole-file read reports it.
+  uint64_t table_bytes = 0;
+  for (const Segment& seg : segments_) table_bytes += seg.bytes;
+  obs::GetGauge("table.bytes")->Set(static_cast<double>(table_bytes));
   DQ_RETURN_NOT_OK(EnforceBudget());
   PublishGauges();
   return Status::OK();
@@ -193,17 +197,25 @@ Status SegmentStore::Unpin(size_t i) {
   return Status::OK();
 }
 
+Status SegmentStore::ForEachSegment(
+    const std::function<Status(const Table&, size_t)>& visit) {
+  for (size_t i = 0; i < segments_.size(); ++i) {
+    DQ_ASSIGN_OR_RETURN(const Table* seg, Pin(i));
+    Status visited = visit(*seg, segments_[i].base_row);
+    DQ_RETURN_NOT_OK(Unpin(i));
+    DQ_RETURN_NOT_OK(visited);
+  }
+  return Status::OK();
+}
+
 Status SegmentStore::Materialize(Table* out) {
   DQ_DCHECK(finished_);
   *out = Table(schema_);
   out->Reserve(num_rows_);
-  for (size_t i = 0; i < segments_.size(); ++i) {
-    Result<const Table*> seg = Pin(i);
-    DQ_RETURN_NOT_OK(seg.status());
-    out->AppendFrom(**seg);
-    DQ_RETURN_NOT_OK(Unpin(i));
-  }
-  return Status::OK();
+  return ForEachSegment([out](const Table& seg, size_t) {
+    out->AppendFrom(seg);
+    return Status::OK();
+  });
 }
 
 void SegmentStore::PublishGauges() {

@@ -9,9 +9,12 @@
 // back through the dqcol reader, so a damaged spill file fails its schema,
 // domain and null-sentinel checks instead of loading garbage. Because
 // sealed segments never change, the spill file is written once and
-// re-eviction is a free drop of the in-memory copy. Segment boundaries depend only on the record sequence — never on
-// the budget — so any consumer that walks segments in order sees bitwise
-// identical data whether nothing, some, or everything spilled.
+// re-eviction is a free drop of the in-memory copy. Segment boundaries
+// depend only on the record sequence — never on the budget — so any
+// consumer that walks segments in order sees bitwise identical data whether
+// nothing, some, or everything spilled. Without a budget nothing ever
+// spills, and a store whose segment_rows exceeds the input holds it as one
+// segment: the same Table a whole-file read builds.
 //
 // Residency accounting uses Table::byte_size() (column payloads + null
 // bitmaps + schema string pool), published through the segstore.* metrics.
@@ -20,6 +23,7 @@
 #define DQ_TABLE_SEGMENT_STORE_H_
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -47,8 +51,9 @@ struct SegmentStoreOptions {
 /// \brief Spillable sequence of immutable columnar segments.
 ///
 /// Lifecycle: Append() chunks in record order, then Finish() exactly once
-/// (seals the open segment), then Pin()/Unpin() segments for reading or
-/// Materialize() the whole table. Not thread-safe; callers serialize.
+/// (seals the open segment), then Pin()/Unpin() segments for reading, walk
+/// them with ForEachSegment() or Materialize() the whole table. Not
+/// thread-safe; callers serialize.
 class SegmentStore {
  public:
   SegmentStore(Schema schema, SegmentStoreOptions options);
@@ -103,6 +108,13 @@ class SegmentStore {
   /// \brief Releases a pin and re-enforces the budget (a reloaded segment
   /// over budget is dropped again; its spill file already exists).
   Status Unpin(size_t i);
+
+  /// \brief Calls `visit(segment, base_row)` for every segment in row
+  /// order, each pinned for the duration of its call; stops at the first
+  /// error. Resident memory stays within the budget plus one segment.
+  Status ForEachSegment(
+      const std::function<Status(const Table& segment, size_t base_row)>&
+          visit);
 
   /// \brief Deterministic in-order assembly of every segment into `out`
   /// (column-to-column appends; equals the table a plain ReadCsv builds).

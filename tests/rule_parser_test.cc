@@ -3,10 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <sstream>
 
 #include "logic/rule_parser.h"
+#include "mutation.h"
 #include "table/date.h"
+#include "table/schema_spec.h"
 
 namespace dq {
 namespace {
@@ -292,6 +295,75 @@ TEST(RuleParserTest, RuleFileWithCommentsAndErrors) {
   auto failed = ParseRuleFile(s, &bad);
   ASSERT_FALSE(failed.ok());
   EXPECT_NE(failed.status().message().find("line 2"), std::string::npos);
+}
+
+// --- Mutated rule files --------------------------------------------------
+
+/// Parenthesis nesting far past any real rule, balanced and not.
+std::vector<std::string> NestingMutants() {
+  const auto nested = [](size_t depth) {
+    return std::string(depth, '(') + "GROUP = G1" + std::string(depth, ')') +
+           " -> FAMILY = F2\n";
+  };
+  std::string flat = "GROUP = G1";
+  for (int i = 0; i < 20000; ++i) flat += " AND FAMILY = F2";
+  return {nested(100), nested(1000), nested(200000),
+          std::string(500000, '(') + "\n", flat + " -> PLANT = KASSEL\n"};
+}
+
+TEST(RuleFileMutationTest, MutatedRuleFilesYieldStatusNotCrash) {
+  const std::string dir = DQ_TESTDATA_DIR;
+  const std::string path = ::testing::TempDir() + "/rule_mutant.rules";
+  const std::pair<const char*, const char*> seeds[] = {
+      {"parts.spec", "parts.rules"},
+      {"parts.spec", "parts_bad.rules"},
+      {"quis_full.spec", "quis_expert.rules"}};
+  size_t accepted = 0;
+  size_t rejected = 0;
+  double slowest_ms = 0.0;
+  for (const auto& [spec, rules] : seeds) {
+    auto schema = ParseSchemaSpecFile(dir + "/" + spec);
+    ASSERT_TRUE(schema.ok()) << schema.status();
+    const Row nulls(schema->num_attributes(), Value::Null());
+    std::vector<std::string> mutants =
+        Mutants(ReadTextFile(dir + "/" + rules), 2003);
+    for (std::string& m : NestingMutants()) mutants.push_back(std::move(m));
+    for (const std::string& mutant : mutants) {
+      WriteTextFile(path, mutant);
+      Result<std::vector<Rule>> parsed = Status::Internal("not parsed");
+      slowest_ms = std::max(slowest_ms, TimeMs([&] {
+        parsed = ParseRuleFileAt(*schema, path);
+        ASSERT_TRUE(ParseRuleFileLenientAt(*schema, path).ok());
+      }));
+      if (!parsed.ok()) {
+        ++rejected;
+        EXPECT_FALSE(parsed.status().message().empty());
+        continue;
+      }
+      ++accepted;
+      // Whatever parses must also render and evaluate.
+      for (const Rule& rule : *parsed) {
+        EXPECT_FALSE(rule.ToString(*schema).empty());
+        (void)rule.Violates(nulls);
+      }
+    }
+  }
+  std::filesystem::remove(path);
+  EXPECT_GT(rejected, 0u);
+  EXPECT_GT(accepted, 0u);  // some flips land in comments or digits
+  EXPECT_LT(slowest_ms, 2000.0);
+}
+
+TEST(RuleParserTest, NestingIsBounded) {
+  Schema s = ParserSchema();
+  const auto nested = [](size_t depth) {
+    return std::string(depth, '(') + "BRV = 404" + std::string(depth, ')') +
+           " -> GBM = 901";
+  };
+  EXPECT_TRUE(ParseRule(s, nested(256)).ok());
+  auto deep = ParseRule(s, nested(257));
+  ASSERT_FALSE(deep.ok());
+  EXPECT_NE(deep.status().message().find("nested deeper"), std::string::npos);
 }
 
 }  // namespace

@@ -3,8 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <sstream>
 
+#include "mutation.h"
 #include "table/date.h"
 #include "table/schema_spec.h"
 
@@ -86,6 +88,42 @@ TEST(SchemaSpecTest, FormatParseRoundTrip) {
 
 TEST(SchemaSpecTest, MissingFileFails) {
   EXPECT_FALSE(ParseSchemaSpecFile("/nonexistent/schema.txt").ok());
+}
+
+TEST(SchemaSpecTest, MutatedSpecsYieldStatusNotCrash) {
+  const std::string dir = DQ_TESTDATA_DIR;
+  const std::string path = ::testing::TempDir() + "/schema_mutant.spec";
+  size_t accepted = 0;
+  size_t rejected = 0;
+  double slowest_ms = 0.0;
+  for (const char* spec : {"parts.spec", "quis.spec", "quis_full.spec"}) {
+    std::vector<std::string> mutants =
+        Mutants(ReadTextFile(dir + "/" + spec), 2003);
+    // Oversized lines: a huge category list and a huge attribute name.
+    std::string cats = "BIG nominal C0";
+    for (int i = 1; i < 200000; ++i) cats += ",C" + std::to_string(i);
+    mutants.push_back(cats + "\n");
+    mutants.push_back(std::string(1 << 20, 'A') + " numeric 0 1\n");
+    for (const std::string& mutant : mutants) {
+      WriteTextFile(path, mutant);
+      Result<Schema> parsed = Status::Internal("not parsed");
+      slowest_ms = std::max(slowest_ms, TimeMs([&] {
+        parsed = ParseSchemaSpecFile(path);
+      }));
+      if (!parsed.ok()) {
+        ++rejected;
+        EXPECT_FALSE(parsed.status().message().empty());
+        continue;
+      }
+      ++accepted;
+      // Whatever parses must describe itself again.
+      EXPECT_FALSE(FormatSchemaSpec(*parsed).empty());
+    }
+  }
+  std::filesystem::remove(path);
+  EXPECT_GT(rejected, 0u);
+  EXPECT_GT(accepted, 0u);
+  EXPECT_LT(slowest_ms, 2000.0);
 }
 
 }  // namespace

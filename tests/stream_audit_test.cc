@@ -5,13 +5,18 @@
 #include "audit/stream_audit.h"
 
 #include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "audit/auditor.h"
+#include "audit/review.h"
+#include "audit/structure_model.h"
+#include "common/timer.h"
 #include "eval/report_io.h"
 #include "gtest/gtest.h"
+#include "obs/trace.h"
 #include "quis/quis_sample.h"
 #include "table/columnar.h"
 #include "table/csv.h"
@@ -154,7 +159,10 @@ TEST_F(StreamAuditTest, ReportIsInvariantUnderMemoryBudget) {
   EXPECT_GT(tight->store_stats.spill_reads, 0u);
 
   ExpectSameSuspicions(wide->suspicious, tight->suspicious);
-  // The spill directory is removed once the store is gone.
+  // The result owns the store, so its spill files outlive the run; the
+  // spill directory is removed once the store is gone.
+  EXPECT_TRUE(std::filesystem::exists(budgeted.store.spill_dir));
+  tight->store.reset();
   EXPECT_FALSE(std::filesystem::exists(budgeted.store.spill_dir));
 }
 
@@ -232,6 +240,176 @@ TEST_F(StreamAuditTest, RejectsZeroSampleRows) {
   options.sample_rows = 0;
   auto result = RunStreamingAudit(table_.schema(), csv_path_, options);
   EXPECT_FALSE(result.ok());
+}
+
+TEST_F(StreamAuditTest, AuditMsIsTheCheckPhaseWallTime) {
+  // Segments are checked concurrently, so summing their busy times would
+  // overstate the phase; audit_ms must fit inside the call's own wall time.
+  StreamAuditOptions options = FullSampleOptions();
+  options.store.segment_rows = 100;  // 25 segments
+  options.csv.batch_records = 100;
+  options.auditor.num_threads = 4;
+  const WallTimer call;
+  auto result = RunStreamingAudit(table_.schema(), csv_path_, options);
+  const double call_ms = call.ElapsedMs();
+  ASSERT_TRUE(result.ok());
+  ASSERT_GT(result->store->num_segments(), 4u);
+  EXPECT_GT(result->timings.audit_ms, 0.0);
+  EXPECT_LE(result->timings.audit_ms, call_ms);
+  EXPECT_LE(result->timings.ingest_ms + result->timings.induce_ms +
+                result->timings.audit_ms,
+            call_ms);
+}
+
+TEST_F(StreamAuditTest, TraceTreeIsThreadCountInvariant) {
+  // The per-segment check spans stitch under the caller's span, so the
+  // stitched tree is the same whichever thread ran each segment.
+  obs::Tracer& tracer = obs::Tracer::Global();
+  const bool was_enabled = tracer.enabled();
+  tracer.SetEnabled(true);
+  auto tree_at = [&](int threads) {
+    tracer.Reset();
+    StreamAuditOptions options = FullSampleOptions();
+    options.csv.batch_records = 100;  // many segments, several windows
+    options.auditor.num_threads = threads;
+    {
+      obs::Span root("test.run");
+      EXPECT_TRUE(RunStreamingAudit(table_.schema(), csv_path_, options).ok());
+    }
+    return tracer.TreeSummary();
+  };
+  const std::string serial = tree_at(1);
+  const std::string parallel = tree_at(4);
+  tracer.Reset();
+  tracer.SetEnabled(was_enabled);
+  EXPECT_NE(serial.find("audit.score"), std::string::npos);
+  EXPECT_EQ(serial, parallel);
+}
+
+TEST_F(StreamAuditTest, PersistedModelCheckMatchesWholeTableCheck) {
+  StreamAuditOptions options = FullSampleOptions();
+  const Auditor auditor(options.auditor);
+  auto induced = auditor.Induce(table_);
+  ASSERT_TRUE(induced.ok());
+  const StructureModel model =
+      StructureModel::FromAuditModel(*induced, table_.schema());
+  auto whole = model.Check(table_, options.auditor);
+  ASSERT_TRUE(whole.ok());
+  ASSERT_GT(whole->suspicious.size(), 0u);
+
+  options.model = &model;
+  options.store.memory_budget_bytes = 8 * 1024;  // forces spilling
+  options.store.spill_dir = TestPath("_spill");
+  auto streamed = RunStreamingAudit(table_.schema(), csv_path_, options);
+  ASSERT_TRUE(streamed.ok());
+  EXPECT_GT(streamed->store_stats.spill_writes, 0u);
+  EXPECT_EQ(streamed->model.num_models(), 0u);  // nothing induced
+  ExpectSameSuspicions(whole->suspicious, streamed->suspicious);
+}
+
+TEST_F(StreamAuditTest, TrainPathIsTheInductionSource) {
+  // Induce on the first 1500 rows, audit all 2500: equal to Induce on the
+  // training table plus Audit of the whole table, with and without a
+  // spilling budget (whose reservoir then samples the training file).
+  Table train(table_.schema());
+  for (size_t r = 0; r < 1500; ++r) {
+    train.AppendRowUnchecked(table_.row(r));
+  }
+  const std::string train_path = TestPath("_train.csv");
+  ASSERT_TRUE(WriteCsvFile(train, train_path).ok());
+  StreamAuditOptions options = FullSampleOptions();
+  const Auditor auditor(options.auditor);
+  auto model = auditor.Induce(train);
+  ASSERT_TRUE(model.ok());
+  auto classic = auditor.Audit(*model, table_);
+  ASSERT_TRUE(classic.ok());
+
+  options.train_path = train_path;
+  auto resident = RunStreamingAudit(table_.schema(), csv_path_, options);
+  ASSERT_TRUE(resident.ok());
+  EXPECT_EQ(resident->sampled_rows, 1500u);
+  EXPECT_EQ(resident->train_ingest.records_kept, 1500u);
+  ExpectSameSuspicions(classic->suspicious, resident->suspicious);
+
+  options.store.memory_budget_bytes = 8 * 1024;
+  options.store.spill_dir = TestPath("_spill");
+  auto spilled = RunStreamingAudit(table_.schema(), csv_path_, options);
+  ASSERT_TRUE(spilled.ok());
+  EXPECT_GT(spilled->store_stats.spill_writes, 0u);
+  EXPECT_EQ(spilled->sampled_rows, 1500u);
+  ExpectSameSuspicions(classic->suspicious, spilled->suspicious);
+  std::filesystem::remove(train_path);
+}
+
+TEST_F(StreamAuditTest, OneSegmentInputInducesInPlace) {
+  // Without a budget a one-segment input is the induction table itself:
+  // the model and ranking equal the whole-table audit's.
+  StreamAuditOptions options = FullSampleOptions();
+  options.store.segment_rows = table_.num_rows() + 1;
+  auto result = RunStreamingAudit(table_.schema(), csv_path_, options);
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result->store->num_segments(), 1u);
+  EXPECT_EQ(result->sampled_rows, table_.num_rows());
+  const Auditor auditor(options.auditor);
+  auto model = auditor.Induce(table_);
+  ASSERT_TRUE(model.ok());
+  auto classic = auditor.Audit(*model, table_);
+  ASSERT_TRUE(classic.ok());
+  ExpectSameSuspicions(classic->suspicious, result->suspicious);
+}
+
+TEST_F(StreamAuditTest, SegmentConsumersMatchTheWholeTable) {
+  // The corrected table and the review sheets read the records back
+  // segment by segment, spilled or not, and equal their whole-table forms.
+  StreamAuditOptions options = FullSampleOptions();
+  const Auditor auditor(options.auditor);
+  auto model = auditor.Induce(table_);
+  ASSERT_TRUE(model.ok());
+  auto classic = auditor.Audit(*model, table_);
+  ASSERT_TRUE(classic.ok());
+  auto corrected = auditor.ApplyCorrections(*classic, table_);
+  ASSERT_TRUE(corrected.ok());
+  std::ostringstream expected_csv;
+  ASSERT_TRUE(WriteCsv(*corrected, &expected_csv).ok());
+
+  options.store.memory_budget_bytes = 8 * 1024;
+  options.store.spill_dir = TestPath("_spill");
+  auto streamed = RunStreamingAudit(table_.schema(), csv_path_, options);
+  ASSERT_TRUE(streamed.ok());
+  const std::string path = TestPath("_corrected.csv");
+  ASSERT_TRUE(WriteCorrectedCsvFile(*streamed, path).ok());
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream written;
+  written << in.rdbuf();
+  EXPECT_EQ(written.str(), expected_csv.str());
+  std::filesystem::remove(path);
+
+  for (size_t i = 0; i < 5; ++i) {
+    const size_t row = classic->suspicious[i].row;
+    auto detail = ExplainRecord(*model, table_, row, options.auditor);
+    ASSERT_TRUE(detail.ok());
+    auto sheet = ExplainStreamedRow(*streamed, row, options.auditor);
+    ASSERT_TRUE(sheet.ok());
+    EXPECT_EQ(*sheet, RenderSuspicionDetail(*detail, *model, table_));
+  }
+  EXPECT_FALSE(
+      ExplainStreamedRow(*streamed, table_.num_rows(), options.auditor).ok());
+}
+
+TEST_F(StreamAuditTest, FailedIngestStillReportsItsQuarantine) {
+  const std::string bad_path = TestPath("_bad.csv");
+  {
+    std::ifstream in(csv_path_, std::ios::binary);
+    std::ofstream out(bad_path, std::ios::binary);
+    out << in.rdbuf() << "too,few\n";
+  }
+  IngestReport ingest;
+  auto result = RunStreamingAudit(table_.schema(), bad_path,
+                                  FullSampleOptions(), &ingest);
+  EXPECT_FALSE(result.ok());
+  EXPECT_EQ(ingest.records_quarantined, 1u);
+  EXPECT_EQ(ingest.records_kept, table_.num_rows());
+  std::filesystem::remove(bad_path);
 }
 
 }  // namespace

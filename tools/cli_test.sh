@@ -132,6 +132,64 @@ grep -v -e parse_ms -e threads_used "$WORK/ingest.json" > "$WORK/i1"
 grep -v -e parse_ms -e threads_used "$WORK/ingest_t4.json" > "$WORK/i4"
 diff "$WORK/i1" "$WORK/i4"
 
+# A failed ingest still writes its --ingest-report, with or without a
+# memory budget: strict mode stops at the first malformed record and the
+# report names it.
+for budget in "" "--memory-budget 64K"; do
+  rm -f "$WORK/failed_ingest.json"
+  # shellcheck disable=SC2086
+  if "$DQAUDIT" --schema "$DIRTY_SPEC" --data "$DIRTY_CSV" --on-error fail \
+      --ingest-report "$WORK/failed_ingest.json" $budget --top 3 \
+      > /dev/null 2>&1; then
+    echo "strict mode accepted the malformed extract ($budget)" >&2
+    exit 1
+  fi
+  grep -q '"records_quarantined": 1' "$WORK/failed_ingest.json"
+  grep -q '"arity-mismatch": 1' "$WORK/failed_ingest.json"
+done
+
+# --- One pipeline: every option composes with --memory-budget ---
+# Each option runs twice over a 20k-row input: without a budget, and under a
+# spilling budget whose sample covers the input. Reports, corrected tables
+# and models must be identical, and so must stdout apart from the lines that
+# name the mode (loaded / streamed / memory budget / induced on) and the
+# timing figures.
+"$DQGEN" --schema "$SPEC" --records 20000 --rules 12 --seed 5 \
+  --clean "$WORK/c20k.csv" --dirty "$WORK/d20k.csv" > /dev/null
+compose() {
+  local name="$1"; shift
+  local dir="$WORK/compose_$name"
+  mkdir -p "$dir/plain" "$dir/budget"
+  ( cd "$dir/plain" &&
+    "$DQAUDIT" --schema "$SPEC" --data "$WORK/d20k.csv" --min-conf 0.8 \
+      --top 5 --threads 2 --report report.csv "$@" > out.txt )
+  ( cd "$dir/budget" &&
+    "$DQAUDIT" --schema "$SPEC" --data "$WORK/d20k.csv" --min-conf 0.8 \
+      --top 5 --threads 2 --report report.csv "$@" --memory-budget 64K \
+      --segment-rows 500 --sample-rows 100000 --spill-dir spill > out.txt )
+  grep -qE ' [1-9][0-9]* spill writes' "$dir/budget/out.txt"
+  test ! -e "$dir/budget/spill"
+  cmp "$dir/plain/report.csv" "$dir/budget/report.csv"
+  for f in corrected.csv model.dqmodel; do
+    if [ -e "$dir/plain/$f" ]; then cmp "$dir/plain/$f" "$dir/budget/$f"; fi
+  done
+  local mode='^(loaded|streamed|memory budget|induced on|timings) |^  [^ ]+ +[0-9.]+ ms$'
+  diff <(grep -vE "$mode" "$dir/plain/out.txt") \
+       <(grep -vE "$mode" "$dir/budget/out.txt")
+}
+compose train --train "$WORK/c20k.csv" --save-model model.dqmodel
+grep -q "induced on 20000 sampled records" "$WORK/compose_train/budget/out.txt"
+compose load-model --load-model "$WORK/compose_train/plain/model.dqmodel"
+grep -q "checked against" "$WORK/compose_load-model/budget/out.txt"
+compose corrected --corrected corrected.csv --save-model model.dqmodel
+test -s "$WORK/compose_corrected/budget/corrected.csv"
+compose rules-file --rules-file "$(dirname "$SPEC")/parts.rules"
+grep -q "expert rules: 4 rules" "$WORK/compose_rules-file/budget/out.txt"
+compose explain --explain 3
+test "$(grep -c '^record ' "$WORK/compose_explain/budget/out.txt")" -eq 3
+compose summary --summary
+grep -q "audited [0-9]* records" "$WORK/compose_summary/budget/out.txt"
+
 # --- Flag validation: malformed values are rejected with a diagnostic ---
 # (not silently parsed as 0 the way atoi would).
 expect_flag_error() {

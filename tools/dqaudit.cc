@@ -1,7 +1,14 @@
-// dqaudit — command-line data auditing for CSV files.
+// dqaudit — command-line data auditing for CSV and dqcol files.
 //
 // Usage:
 //   dqaudit --schema spec.txt --data table.csv [options]
+//
+// Every run is one pipeline (audit/stream_audit.h): ingest into a segment
+// store -> model (loaded, or induced on --train or the input) -> check
+// segment by segment -> ranked merge -> output. Without --memory-budget the
+// input stays in RAM as one segment; with one, segments spill to disk and
+// induction trains on a reservoir sample. Every option composes with
+// --memory-budget.
 //
 // Options:
 //   --schema FILE      schema specification (see table/schema_spec.h)
@@ -29,27 +36,26 @@
 //   --report FILE      write the ranked suspicions as CSV
 //   --summary          print the per-attribute flag summary (including
 //                      per-attribute induction times when inducing)
-//   --threads N        worker threads for induction/checking
+//   --threads N        worker threads for ingest, induction and checking
 //                      (default 0 = hardware concurrency; any non-positive
 //                      value means the hardware default; results are
 //                      identical for every thread count)
-//   --memory-budget N  out-of-core mode: stream the audit with at most N
-//                      bytes of resident table data (suffixes K/M/G/T,
-//                      e.g. 64M). Induction trains on a reservoir sample
-//                      (--sample-rows); segments past the budget spill to
-//                      --spill-dir. The ranked report is identical for
-//                      every budget. Incompatible with --train,
-//                      --load-model, --corrected, --explain, --summary and
-//                      --rules-file (they need the whole table in RAM)
-//   --sample-rows N    reservoir sample size for streaming induction
+//   --memory-budget N  out-of-core mode: hold at most N bytes of resident
+//                      table data (suffixes K/M/G/T, e.g. 64M). Segments
+//                      past the budget spill to --spill-dir; induction
+//                      trains on a reservoir sample of --train or --data
+//                      (--sample-rows). The ranked report is identical for
+//                      every budget
+//   --sample-rows N    reservoir sample size under --memory-budget
 //                      (default 200000; >= the row count trains on the
-//                      full table and reproduces the in-memory audit
-//                      exactly)
-//   --spill-dir DIR    where streaming segments spill (default:
-//                      <data>.spill, removed after the run)
-//   --segment-rows N   rows per streaming segment (default 65536; the
-//                      paging granularity — smaller segments spill sooner.
-//                      Results are identical for every value)
+//                      whole source and reproduces the unbudgeted audit
+//                      exactly). Unused without a budget
+//   --spill-dir DIR    where segments spill (default: <data>.spill,
+//                      removed after the run)
+//   --segment-rows N   rows per segment under --memory-budget (default
+//                      65536; the paging granularity — smaller segments
+//                      spill sooner. Results are identical for every
+//                      value). Without a budget the input is one segment
 //   --rules-file FILE  expert-written TDG rules (sec. 3.2) checked
 //                      deterministically against the data: per-rule
 //                      violation counts plus example rows
@@ -58,7 +64,8 @@
 //   --on-error MODE    fail (default): abort on the first malformed CSV
 //                      record; skip: quarantine malformed records into an
 //                      ingest report and audit the survivors
-//   --ingest-report F  write the ingest quarantine report as JSON
+//   --ingest-report F  write the ingest quarantine report as JSON (also
+//                      when a malformed record aborts the run)
 //   --trace-out FILE   write the span tree of the run as Chrome trace-event
 //                      JSON (load in Perfetto / chrome://tracing); the tree
 //                      is identical for every --threads value
@@ -76,18 +83,17 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "audit/review.h"
 #include "audit/rule_export.h"
 #include "audit/stream_audit.h"
 #include "audit/summary.h"
 #include "audit/structure_model.h"
 #include "common/parallel.h"
-#include "eval/report_io.h"
 #include "lint/lint.h"
 #include "logic/rule_parser.h"
 #include "obs/history.h"
@@ -127,7 +133,7 @@ struct Options {
   int top = 20;
   int explain = 0;
   int threads = 0;
-  uint64_t memory_budget = 0;  ///< 0 = classic in-memory audit
+  uint64_t memory_budget = 0;  ///< 0 = the input stays in RAM
   size_t sample_rows = 200000;
   size_t segment_rows = 65536;
   std::string spill_dir;
@@ -146,8 +152,8 @@ void Usage() {
                "  [--load-model m] [--top 20] [--explain 5] [--rules]\n"
                "  [--corrected out.csv] [--report report.csv]\n"
                "  [--summary] [--threads 0] [--rules-file r.rules] [--lint]\n"
-               "  [--memory-budget 64M] [--sample-rows 200000]\n"
-               "  [--spill-dir DIR] [--segment-rows 65536]\n"
+               "  [--memory-budget 64M [--sample-rows 200000]\n"
+               "   [--spill-dir DIR] [--segment-rows 65536]]\n"
                "  [--on-error fail|skip] [--ingest-report report.json]\n"
                "  [--trace-out trace.json] [--metrics-out metrics.json]\n"
                "  [--history DIR] [--history-max-runs N]\n"
@@ -182,90 +188,48 @@ bool ParseArgs(int argc, char** argv, Options* opts) {
       continue;
     }
     if (arg == "--history" && need_value(&opts->history_dir)) continue;
-    if (arg == "--history-max-runs" && need_value(&value)) {
-      if (!ParseSizeFlag(arg, value, 1,
-                         std::numeric_limits<int64_t>::max(),
-                         &opts->history_max_runs)) {
-        return false;
-      }
-      continue;
-    }
     if (arg == "--format" && need_value(&opts->format)) continue;
-    if (arg == "--log-level" && need_value(&value)) {
-      if (!ParseLogLevelFlag(arg, value)) return false;
-      continue;
-    }
-    if (arg == "--min-conf" && need_value(&value)) {
-      if (!ParseDoubleFlag(arg, value, 0.0, 1.0, &opts->min_conf)) {
-        return false;
-      }
-      continue;
-    }
-    if (arg == "--level" && need_value(&value)) {
-      if (!ParseDoubleFlag(arg, value, 0.0, 1.0, &opts->level)) return false;
-      continue;
-    }
-    if (arg == "--top" && need_value(&value)) {
-      if (!ParseIntFlag32(arg, value, 0, std::numeric_limits<int>::max(),
-                          &opts->top)) {
-        return false;
-      }
-      continue;
-    }
-    if (arg == "--explain" && need_value(&value)) {
-      if (!ParseIntFlag32(arg, value, 0, std::numeric_limits<int>::max(),
-                          &opts->explain)) {
-        return false;
-      }
-      continue;
-    }
-    if (arg == "--threads" && need_value(&value)) {
+    if (arg == "--spill-dir" && need_value(&opts->spill_dir)) continue;
+    // Valued flags whose parse prints its own diagnostic, and switches.
+    constexpr int kMaxInt = std::numeric_limits<int>::max();
+    constexpr int64_t kMaxSize = std::numeric_limits<int64_t>::max();
+    bool parsed = true;
+    if (arg == "--history-max-runs" && need_value(&value)) {
+      parsed = ParseSizeFlag(arg, value, 1, kMaxSize, &opts->history_max_runs);
+    } else if (arg == "--log-level" && need_value(&value)) {
+      parsed = ParseLogLevelFlag(arg, value);
+    } else if (arg == "--min-conf" && need_value(&value)) {
+      parsed = ParseDoubleFlag(arg, value, 0.0, 1.0, &opts->min_conf);
+    } else if (arg == "--level" && need_value(&value)) {
+      parsed = ParseDoubleFlag(arg, value, 0.0, 1.0, &opts->level);
+    } else if (arg == "--top" && need_value(&value)) {
+      parsed = ParseIntFlag32(arg, value, 0, kMaxInt, &opts->top);
+    } else if (arg == "--explain" && need_value(&value)) {
+      parsed = ParseIntFlag32(arg, value, 0, kMaxInt, &opts->explain);
+    } else if (arg == "--threads" && need_value(&value)) {
       // Any non-positive value is normalized to the hardware default by
       // ResolveThreadCount; the parse only rejects non-numbers.
-      if (!ParseIntFlag32(arg, value, std::numeric_limits<int>::min(),
-                          std::numeric_limits<int>::max(), &opts->threads)) {
-        return false;
-      }
-      continue;
-    }
-    if (arg == "--memory-budget" && need_value(&value)) {
-      if (!ParseByteSizeFlag(arg, value, /*require_positive=*/true,
-                             &opts->memory_budget)) {
-        return false;
-      }
-      continue;
-    }
-    if (arg == "--sample-rows" && need_value(&value)) {
-      if (!ParseSizeFlag(arg, value, 1,
-                         std::numeric_limits<int64_t>::max(),
-                         &opts->sample_rows)) {
-        return false;
-      }
-      continue;
-    }
-    if (arg == "--spill-dir" && need_value(&opts->spill_dir)) continue;
-    if (arg == "--segment-rows" && need_value(&value)) {
-      if (!ParseSizeFlag(arg, value, 1,
-                         std::numeric_limits<int64_t>::max(),
-                         &opts->segment_rows)) {
-        return false;
-      }
-      continue;
-    }
-    if (arg == "--rules") {
+      parsed = ParseIntFlag32(arg, value, std::numeric_limits<int>::min(),
+                              kMaxInt, &opts->threads);
+    } else if (arg == "--memory-budget" && need_value(&value)) {
+      parsed = ParseByteSizeFlag(arg, value, /*require_positive=*/true,
+                                 &opts->memory_budget);
+    } else if (arg == "--sample-rows" && need_value(&value)) {
+      parsed = ParseSizeFlag(arg, value, 1, kMaxSize, &opts->sample_rows);
+    } else if (arg == "--segment-rows" && need_value(&value)) {
+      parsed = ParseSizeFlag(arg, value, 1, kMaxSize, &opts->segment_rows);
+    } else if (arg == "--rules") {
       opts->print_rules = true;
-      continue;
-    }
-    if (arg == "--summary") {
+    } else if (arg == "--summary") {
       opts->print_summary = true;
-      continue;
-    }
-    if (arg == "--lint") {
+    } else if (arg == "--lint") {
       opts->lint = true;
-      continue;
+    } else {
+      std::fprintf(stderr, "unknown or incomplete argument: %s\n",
+                   arg.c_str());
+      return false;
     }
-    std::fprintf(stderr, "unknown or incomplete argument: %s\n", arg.c_str());
-    return false;
+    if (!parsed) return false;
   }
   if (opts->schema_path.empty() || opts->data_path.empty()) {
     return false;
@@ -286,19 +250,6 @@ bool ParseArgs(int argc, char** argv, Options* opts) {
     std::fprintf(stderr, "--split-mode must be 'histogram' or 'exact'\n");
     return false;
   }
-  if (opts->memory_budget > 0) {
-    // The streaming audit never holds the whole table, so every feature
-    // that random-accesses it is off the table too.
-    if (!opts->train_path.empty() || !opts->load_model_path.empty() ||
-        !opts->corrected_path.empty() || !opts->rules_path.empty() ||
-        opts->explain > 0 || opts->print_summary) {
-      std::fprintf(stderr,
-                   "--memory-budget is incompatible with --train, "
-                   "--load-model, --corrected, --rules-file, --explain and "
-                   "--summary\n");
-      return false;
-    }
-  }
   return true;
 }
 
@@ -310,32 +261,128 @@ Result<InducerKind> InducerFromName(const std::string& name) {
   return Status::InvalidArgument("unknown inducer '" + name + "'");
 }
 
-/// Prints the timings line, the suspicious count and the top-ranked rows;
-/// the in-memory and the out-of-core audit report their outcome alike.
+/// Prints the outcome of the check: for an induced model the timings line
+/// and the suspicious count, for a persisted one the rule count; then the
+/// top-ranked rows (with the training support behind an induced model's
+/// prediction).
 void PrintAuditOutcome(const Options& opts, const Schema& schema,
-                       const AuditTimings& timings, size_t total_rows,
-                       const std::vector<Suspicion>& suspicious) {
-  std::printf("timings (threads=%d): ingest %.1f ms, induce %.1f ms "
-              "(encode %.1f ms, c4.5 presort %.1f ms, tree build %.1f ms), "
-              "audit %.1f ms\n",
-              timings.threads_used, timings.ingest_ms, timings.induce_ms,
-              timings.encode_ms, timings.presort_ms, timings.tree_build_ms,
-              timings.audit_ms);
-  std::printf("%zu of %zu records suspicious at minimal error confidence "
-              "%.2f\n",
-              suspicious.size(), total_rows, opts.min_conf);
-  const size_t limit =
-      std::min<size_t>(suspicious.size(), static_cast<size_t>(opts.top));
+                       const StreamAuditResult& result,
+                       const StructureModel* persisted) {
+  const AuditTimings& timings = result.timings;
+  if (persisted != nullptr) {
+    std::printf("checked against %zu persisted rules: %zu suspicious "
+                "records\n",
+                persisted->TotalRules(), result.suspicious.size());
+  } else {
+    std::printf("timings (threads=%d): ingest %.1f ms, induce %.1f ms "
+                "(encode %.1f ms, c4.5 presort %.1f ms, tree build %.1f ms), "
+                "audit %.1f ms\n",
+                timings.threads_used, timings.ingest_ms, timings.induce_ms,
+                timings.encode_ms, timings.presort_ms, timings.tree_build_ms,
+                timings.audit_ms);
+    std::printf("%zu of %zu records suspicious at minimal error confidence "
+                "%.2f\n",
+                result.suspicious.size(), result.total_rows, opts.min_conf);
+  }
+  const size_t limit = std::min<size_t>(result.suspicious.size(),
+                                        static_cast<size_t>(opts.top));
   for (size_t i = 0; i < limit; ++i) {
-    const Suspicion& s = suspicious[i];
-    std::printf("  row %6zu  conf %.4f  %s = %s -> suggest %s (support "
-                "%.0f)\n",
-                s.row, s.error_confidence,
+    const Suspicion& s = result.suspicious[i];
+    // One call per row for a persisted-model check: batch checks print
+    // every flagged row.
+    std::printf("  row %6zu  conf %.4f  %s = %s -> suggest %s%s", s.row,
+                s.error_confidence,
                 schema.attribute(static_cast<size_t>(s.attr)).name.c_str(),
                 schema.ValueToString(s.attr, s.observed).c_str(),
                 schema.ValueToString(s.attr, s.suggestion).c_str(),
-                s.support);
+                persisted != nullptr ? "\n" : "");
+    if (persisted == nullptr) std::printf(" (support %.0f)\n", s.support);
   }
+}
+
+/// Expert-rule deviation check (deterministic violations of the
+/// domain-expert dependencies, complementing the structure model): counts
+/// each rule's violating rows segment by segment and prints the per-rule
+/// lines. Returns (rule, count) pairs for the history record.
+Result<std::vector<std::pair<std::string, uint64_t>>> CheckExpertRules(
+    const std::vector<Rule>& rules, const Schema& schema,
+    SegmentStore* store) {
+  std::vector<size_t> counts(rules.size(), 0);
+  std::vector<size_t> first(rules.size(), 0);
+  DQ_RETURN_NOT_OK(store->ForEachSegment([&](const Table& seg, size_t base) {
+    for (size_t r = 0; r < seg.num_rows(); ++r) {
+      const Row row = seg.row(r);
+      for (size_t ri = 0; ri < rules.size(); ++ri) {
+        if (!rules[ri].Violates(row)) continue;
+        if (counts[ri]++ == 0) first[ri] = base + r;
+      }
+    }
+    return Status::OK();
+  }));
+  std::vector<std::pair<std::string, uint64_t>> violations;
+  size_t total_violations = 0;
+  for (size_t ri = 0; ri < rules.size(); ++ri) {
+    const std::string text = rules[ri].ToString(schema);
+    total_violations += counts[ri];
+    violations.emplace_back(text, static_cast<uint64_t>(counts[ri]));
+    if (counts[ri] > 0) {
+      std::printf("expert rule %zu violated by %zu rows (first: row %zu): "
+                  "%s\n",
+                  ri + 1, counts[ri], first[ri], text.c_str());
+    }
+  }
+  std::printf("expert rules: %zu rules, %zu violating row/rule pairs\n",
+              rules.size(), total_violations);
+  return violations;
+}
+
+/// Run-history append (--history): one compact JSONL record per run for
+/// dqmon's drift detection. Appended before the metrics/trace export so
+/// the embedded metrics snapshot never depends on which export flags were
+/// also given. Timing phases are recorded as 0 under a fixed test clock
+/// (DQ_UTC_OVERRIDE_MS) so two identical runs yield byte-identical lines.
+Status AppendHistory(
+    const Options& opts, obs::RunManifest* manifest,
+    const StreamAuditResult& result,
+    std::vector<std::pair<std::string, uint64_t>> rule_violations) {
+  if (opts.history_dir.empty()) return Status::OK();
+  manifest->StampWallClock();
+  obs::HistoryRecord record;
+  record.manifest = *manifest;
+  const std::vector<Suspicion>& suspicious = result.suspicious;
+  record.summary.records = result.total_rows;
+  record.summary.suspicious = suspicious.size();
+  record.summary.suspicion_rate =
+      result.total_rows > 0 ? static_cast<double>(suspicious.size()) /
+                                  static_cast<double>(result.total_rows)
+                            : 0.0;
+  record.summary.rule_violations = std::move(rule_violations);
+  const size_t top_k = std::min(suspicious.size(), obs::AuditSummary::kTopK);
+  for (size_t i = 0; i < top_k; ++i) {
+    record.summary.top_confidences.push_back(suspicious[i].error_confidence);
+  }
+  const bool fixed_clock = obs::EpochClockOverridden();
+  const AuditTimings& timings = result.timings;
+  record.summary.timings_ms = {
+      {"ingest", fixed_clock ? 0.0 : timings.ingest_ms},
+      {"induce", fixed_clock ? 0.0 : timings.induce_ms},
+      {"audit", fixed_clock ? 0.0 : timings.audit_ms},
+  };
+  record.metrics = obs::MetricsRegistry::Global().Snapshot();
+  obs::HistoryStore store(opts.history_dir);
+  DQ_RETURN_NOT_OK(store.Append(record));
+  std::printf("appended history record to %s\n", store.ledger_path().c_str());
+  if (opts.history_max_runs == 0) return Status::OK();
+  size_t dropped_runs = 0;
+  size_t dropped_damaged = 0;
+  DQ_RETURN_NOT_OK(
+      store.Compact(opts.history_max_runs, &dropped_runs, &dropped_damaged));
+  if (dropped_runs > 0 || dropped_damaged > 0) {
+    std::printf("compacted history ledger to newest %zu runs "
+                "(%zu old records, %zu damaged lines dropped)\n",
+                opts.history_max_runs, dropped_runs, dropped_damaged);
+  }
+  return Status::OK();
 }
 
 int Fail(const Status& status) {
@@ -359,108 +406,28 @@ int main(int argc, char** argv) {
   obs::RunManifest manifest = obs::MakeRunManifest("dqaudit", argc, argv);
   manifest.threads_requested = opts.threads;
   manifest.threads_used = ResolveThreadCount(opts.threads);
-  (void)obs::AddInputFileHash(&manifest, "schema", opts.schema_path);
-  (void)obs::AddInputFileHash(&manifest, "data", opts.data_path);
-  if (!opts.train_path.empty()) {
-    (void)obs::AddInputFileHash(&manifest, "train", opts.train_path);
+  for (const auto& [label, path] :
+       {std::pair<const char*, const std::string&>{"schema", opts.schema_path},
+        {"data", opts.data_path}, {"train", opts.train_path},
+        {"rules", opts.rules_path}, {"model", opts.load_model_path}}) {
+    if (!path.empty()) (void)obs::AddInputFileHash(&manifest, label, path);
   }
-  if (!opts.rules_path.empty()) {
-    (void)obs::AddInputFileHash(&manifest, "rules", opts.rules_path);
-  }
-  if (!opts.load_model_path.empty()) {
-    (void)obs::AddInputFileHash(&manifest, "model", opts.load_model_path);
-  }
-  auto export_observability = [&opts, &manifest]() -> Status {
-    manifest.StampWallClock();
-    if (!opts.trace_out_path.empty()) {
-      Status written = obs::Tracer::Global().WriteChromeTraceFile(
-          opts.trace_out_path, &manifest);
-      if (!written.ok()) return written;
-      std::printf("wrote trace to %s\n", opts.trace_out_path.c_str());
-    }
-    if (!opts.metrics_out_path.empty()) {
-      obs::SyncPoolMetrics();
-      Status written = obs::MetricsRegistry::Global().WriteJsonFile(
-          opts.metrics_out_path, &manifest);
-      if (!written.ok()) return written;
-      std::printf("wrote metrics to %s\n", opts.metrics_out_path.c_str());
-    }
-    return Status::OK();
-  };
-
-  // Run-history append (--history): one compact JSONL record per run for
-  // dqmon's drift detection. Appended before the metrics/trace export so
-  // the embedded metrics snapshot never depends on which export flags were
-  // also given. Timing phases are recorded as 0 under a fixed test clock
-  // (DQ_UTC_OVERRIDE_MS) so two identical runs yield byte-identical lines.
-  auto append_history =
-      [&opts, &manifest](
-          uint64_t audited_records, const std::vector<Suspicion>& suspicious,
-          std::vector<std::pair<std::string, uint64_t>> rule_violations,
-          const AuditTimings& timings) -> Status {
-    if (opts.history_dir.empty()) return Status::OK();
-    manifest.StampWallClock();
-    obs::HistoryRecord record;
-    record.manifest = manifest;
-    record.summary.records = audited_records;
-    record.summary.suspicious = suspicious.size();
-    record.summary.suspicion_rate =
-        audited_records > 0
-            ? static_cast<double>(suspicious.size()) /
-                  static_cast<double>(audited_records)
-            : 0.0;
-    record.summary.rule_violations = std::move(rule_violations);
-    const size_t top_k =
-        std::min(suspicious.size(), obs::AuditSummary::kTopK);
-    for (size_t i = 0; i < top_k; ++i) {
-      record.summary.top_confidences.push_back(
-          suspicious[i].error_confidence);
-    }
-    const bool fixed_clock = obs::EpochClockOverridden();
-    record.summary.timings_ms = {
-        {"ingest", fixed_clock ? 0.0 : timings.ingest_ms},
-        {"induce", fixed_clock ? 0.0 : timings.induce_ms},
-        {"audit", fixed_clock ? 0.0 : timings.audit_ms},
-    };
-    record.metrics = obs::MetricsRegistry::Global().Snapshot();
-    obs::HistoryStore store(opts.history_dir);
-    Status appended = store.Append(record);
-    if (!appended.ok()) return appended;
-    std::printf("appended history record to %s\n",
-                store.ledger_path().c_str());
-    if (opts.history_max_runs > 0) {
-      size_t dropped_runs = 0;
-      size_t dropped_damaged = 0;
-      Status compacted = store.Compact(opts.history_max_runs, &dropped_runs,
-                                       &dropped_damaged);
-      if (!compacted.ok()) return compacted;
-      if (dropped_runs > 0 || dropped_damaged > 0) {
-        std::printf("compacted history ledger to newest %zu runs "
-                    "(%zu old records, %zu damaged lines dropped)\n",
-                    opts.history_max_runs, dropped_runs, dropped_damaged);
-      }
-    }
-    return Status::OK();
-  };
-
   auto schema = ParseSchemaSpecFile(opts.schema_path);
   if (!schema.ok()) return Fail(schema.status());
+  StreamAuditOptions stream;
   // --format pins both inputs; otherwise each path's extension decides.
-  IngestFormat data_format = InferIngestFormat(opts.data_path);
-  IngestFormat train_format = InferIngestFormat(opts.train_path);
+  stream.format = InferIngestFormat(opts.data_path);
+  stream.train_format = InferIngestFormat(opts.train_path);
   if (!opts.format.empty()) {
     auto parsed_format = IngestFormatFromName(opts.format);
     if (!parsed_format.ok()) return Fail(parsed_format.status());
-    data_format = *parsed_format;
-    train_format = *parsed_format;
+    stream.format = stream.train_format = *parsed_format;
   }
-  CsvOptions csv_options;
-  csv_options.on_error = opts.on_error == "skip"
-                             ? CsvErrorPolicy::kSkipAndReport
-                             : CsvErrorPolicy::kFail;
-  csv_options.num_threads = opts.threads;
-
-  AuditorConfig config;
+  stream.csv.on_error = opts.on_error == "skip"
+                            ? CsvErrorPolicy::kSkipAndReport
+                            : CsvErrorPolicy::kFail;
+  stream.csv.num_threads = opts.threads;
+  AuditorConfig& config = stream.auditor;
   config.min_error_confidence = opts.min_conf;
   config.confidence_level = opts.level;
   config.num_threads = opts.threads;
@@ -470,107 +437,9 @@ int main(int argc, char** argv) {
   config.c45.split_mode = opts.split_mode == "exact" ? SplitMode::kExact
                                                      : SplitMode::kHistogram;
 
-  // Out-of-core mode: one CSV pass feeds a spillable segment store and a
-  // reservoir sample; induction runs on the sample, detection runs segment
-  // by segment (audit/stream_audit.h). The ranked report is identical for
-  // every budget value.
-  if (opts.memory_budget > 0) {
-    StreamAuditOptions stream;
-    stream.sample_rows = opts.sample_rows;
-    stream.store.segment_rows = opts.segment_rows;
-    stream.store.memory_budget_bytes = opts.memory_budget;
-    stream.store.spill_dir =
-        opts.spill_dir.empty() ? opts.data_path + ".spill" : opts.spill_dir;
-    stream.csv = csv_options;
-    stream.format = data_format;
-    stream.auditor = config;
-    auto result = RunStreamingAudit(*schema, opts.data_path, stream);
-    if (!result.ok()) return Fail(result.status());
-    std::printf("streamed %zu records x %zu attributes from %s\n",
-                result->total_rows, schema->num_attributes(),
-                opts.data_path.c_str());
-    std::printf("memory budget %llu bytes: %llu segments sealed, "
-                "%llu spill writes (%llu bytes), %llu spill reads, "
-                "peak resident %llu bytes\n",
-                static_cast<unsigned long long>(opts.memory_budget),
-                static_cast<unsigned long long>(
-                    result->store_stats.segments_sealed),
-                static_cast<unsigned long long>(
-                    result->store_stats.spill_writes),
-                static_cast<unsigned long long>(
-                    result->store_stats.spill_bytes_written),
-                static_cast<unsigned long long>(
-                    result->store_stats.spill_reads),
-                static_cast<unsigned long long>(
-                    result->store_stats.resident_bytes_peak));
-    if (result->ingest.HasErrors()) {
-      std::printf("ingest: %s\n", result->ingest.Summary().c_str());
-      std::fputs(result->ingest.RenderText().c_str(), stderr);
-    }
-    if (!opts.ingest_report_path.empty()) {
-      Status written = result->ingest.WriteJsonFile(opts.ingest_report_path);
-      if (!written.ok()) return Fail(written);
-      std::printf("wrote ingest report to %s\n",
-                  opts.ingest_report_path.c_str());
-    }
-    std::printf("induced on %zu sampled records (reservoir capacity %zu)\n",
-                result->sampled_rows, opts.sample_rows);
-    if (opts.print_rules) {
-      std::printf("%s", RenderStructureModel(result->model, *schema).c_str());
-    }
-    if (!opts.save_model_path.empty()) {
-      StructureModel structure =
-          StructureModel::FromAuditModel(result->model, *schema);
-      Status saved = structure.SaveToFile(opts.save_model_path);
-      if (!saved.ok()) return Fail(saved);
-      std::printf("persisted %zu rules to %s\n", structure.TotalRules(),
-                  opts.save_model_path.c_str());
-    }
-    const AuditTimings& timings = result->timings;
-    PrintAuditOutcome(opts, *schema, timings, result->total_rows,
-                      result->suspicious);
-    if (!opts.report_path.empty()) {
-      Status written = WriteStreamAuditReportCsvFile(result->suspicious,
-                                                     *schema,
-                                                     opts.report_path);
-      if (!written.ok()) return Fail(written);
-      std::printf("wrote ranked report to %s\n", opts.report_path.c_str());
-    }
-    manifest.threads_used = timings.threads_used;
-    Status history_appended = append_history(result->total_rows,
-                                             result->suspicious, {}, timings);
-    if (!history_appended.ok()) return Fail(history_appended);
-    Status exported = export_observability();
-    if (!exported.ok()) return Fail(exported);
-    return 0;
-  }
-
-  IngestReport ingest;
-  auto data = ReadTableFile(data_format, *schema, opts.data_path, csv_options,
-                            &ingest);
-  if (!data.ok()) {
-    if (!opts.ingest_report_path.empty()) {
-      (void)ingest.WriteJsonFile(opts.ingest_report_path);
-    }
-    return Fail(data.status());
-  }
-  std::printf("loaded %zu records x %zu attributes from %s\n",
-              data->num_rows(), schema->num_attributes(),
-              opts.data_path.c_str());
-  if (ingest.HasErrors()) {
-    std::printf("ingest: %s\n", ingest.Summary().c_str());
-    std::fputs(ingest.RenderText().c_str(), stderr);
-  }
-  if (!opts.ingest_report_path.empty()) {
-    Status written = ingest.WriteJsonFile(opts.ingest_report_path);
-    if (!written.ok()) return Fail(written);
-    std::printf("wrote ingest report to %s\n",
-                opts.ingest_report_path.c_str());
-  }
-
-  // Expert-rule deviation check: deterministic violations of the
-  // domain-expert dependencies, complementing the induced structure model.
-  std::vector<std::pair<std::string, uint64_t>> rule_violation_counts;
+  // Expert rules are linted and parsed before the audit, so a rejected
+  // file costs no ingest.
+  std::vector<Rule> expert_rules;
   if (!opts.rules_path.empty()) {
     if (opts.lint) {
       Linter linter(&*schema);
@@ -585,120 +454,112 @@ int main(int argc, char** argv) {
         return 1;
       }
     }
-    auto expert_rules = ParseRuleFileAt(*schema, opts.rules_path);
-    if (!expert_rules.ok()) return Fail(expert_rules.status());
-    size_t total_violations = 0;
-    for (size_t ri = 0; ri < expert_rules->size(); ++ri) {
-      const Rule& rule = (*expert_rules)[ri];
-      size_t count = 0;
-      size_t first = 0;
-      for (size_t r = 0; r < data->num_rows(); ++r) {
-        if (rule.Violates(data->row(r))) {
-          if (count == 0) first = r;
-          ++count;
-        }
-      }
-      total_violations += count;
-      rule_violation_counts.emplace_back(rule.ToString(*schema),
-                                         static_cast<uint64_t>(count));
-      if (count > 0) {
-        std::printf("expert rule %zu violated by %zu rows (first: row %zu): "
-                    "%s\n",
-                    ri + 1, count, first, rule.ToString(*schema).c_str());
-      }
-    }
-    std::printf("expert rules: %zu rules, %zu violating row/rule pairs\n",
-                expert_rules->size(), total_violations);
+    auto parsed = ParseRuleFileAt(*schema, opts.rules_path);
+    if (!parsed.ok()) return Fail(parsed.status());
+    expert_rules = std::move(*parsed);
+  }
+  // Checking via a persisted structure model needs no induction.
+  std::optional<StructureModel> persisted;
+  if (!opts.load_model_path.empty()) {
+    auto loaded = StructureModel::LoadFromFile(*schema, opts.load_model_path);
+    if (!loaded.ok()) return Fail(loaded.status());
+    persisted = std::move(*loaded);
   }
 
-  Auditor auditor(config);
-  AuditReport report;
-  AuditTimings timings;
-  std::optional<AuditModel> model;  // absent under --load-model
-
-  if (!opts.load_model_path.empty()) {
-    // Checking via a persisted structure model needs no induction.
-    auto structure = StructureModel::LoadFromFile(*schema, opts.load_model_path);
-    if (!structure.ok()) return Fail(structure.status());
-    auto checked = structure->Check(*data, config);
-    if (!checked.ok()) return Fail(checked.status());
-    report = std::move(*checked);
-    std::printf("checked against %zu persisted rules: %zu suspicious "
-                "records\n",
-                structure->TotalRules(), report.NumFlagged());
-    const size_t limit = std::min<size_t>(report.suspicious.size(),
-                                          static_cast<size_t>(opts.top));
-    for (size_t i = 0; i < limit; ++i) {
-      const Suspicion& s = report.suspicious[i];
-      std::printf("  row %6zu  conf %.4f  %s = %s -> suggest %s\n", s.row,
-                  s.error_confidence,
-                  schema->attribute(static_cast<size_t>(s.attr)).name.c_str(),
-                  schema->ValueToString(s.attr, s.observed).c_str(),
-                  schema->ValueToString(s.attr, s.suggestion).c_str());
+  // One pipeline for every run (audit/stream_audit.h). Without a budget the
+  // input stays resident as one segment and induction reads all of it in
+  // place; with one, segments spill and induction trains on a reservoir
+  // sample. The ranked report is identical for every budget value.
+  const bool budgeted = opts.memory_budget > 0;
+  constexpr size_t kWhole = std::numeric_limits<size_t>::max();
+  stream.sample_rows = budgeted ? opts.sample_rows : kWhole;
+  stream.store.segment_rows = budgeted ? opts.segment_rows : kWhole;
+  stream.store.memory_budget_bytes = opts.memory_budget;
+  stream.store.spill_dir =
+      opts.spill_dir.empty() ? opts.data_path + ".spill" : opts.spill_dir;
+  stream.train_path = opts.train_path;
+  stream.model = persisted.has_value() ? &*persisted : nullptr;
+  IngestReport ingest;
+  auto result = RunStreamingAudit(*schema, opts.data_path, stream, &ingest);
+  if (!result.ok()) {
+    if (!opts.ingest_report_path.empty()) {
+      (void)ingest.WriteJsonFile(opts.ingest_report_path);
     }
-    timings.threads_used = manifest.threads_used;
-    timings.ingest_ms = obs::Tracer::Global().AggregateMs("ingest");
-  } else {
-    // Structure induction (on --train if given, else on the audit data).
-    const Table* train = &*data;
-    std::optional<Table> train_storage;
-    IngestReport train_ingest;
-    if (!opts.train_path.empty()) {
-      auto loaded = ReadTableFile(train_format, *schema, opts.train_path,
-                                  csv_options, &train_ingest);
-      if (!loaded.ok()) return Fail(loaded.status());
-      if (train_ingest.HasErrors()) {
-        std::printf("ingest (train): %s\n", train_ingest.Summary().c_str());
-        std::fputs(train_ingest.RenderText().c_str(), stderr);
-      }
-      train_storage = std::move(*loaded);
-      train = &*train_storage;
-    }
-    // Every CSV read recorded an "ingest" span; summing the closed spans
-    // makes the timings line agree with the exported trace (and covers the
-    // --train read, which the old hand-added parse_ms pair got wrong when
-    // either report was reused).
-    timings.ingest_ms = obs::Tracer::Global().AggregateMs("ingest");
-    auto induced = auditor.Induce(*train, &timings);
-    if (!induced.ok()) return Fail(induced.status());
-    model = std::move(*induced);
+    return Fail(result.status());
+  }
 
+  std::printf("%s %zu records x %zu attributes from %s\n",
+              budgeted ? "streamed" : "loaded", result->total_rows,
+              schema->num_attributes(), opts.data_path.c_str());
+  if (budgeted) {
+    const SegmentStore::Stats& st = result->store_stats;
+    std::printf("memory budget %llu bytes: %llu segments sealed, "
+                "%llu spill writes (%llu bytes), %llu spill reads, "
+                "peak resident %llu bytes\n",
+                static_cast<unsigned long long>(opts.memory_budget),
+                static_cast<unsigned long long>(st.segments_sealed),
+                static_cast<unsigned long long>(st.spill_writes),
+                static_cast<unsigned long long>(st.spill_bytes_written),
+                static_cast<unsigned long long>(st.spill_reads),
+                static_cast<unsigned long long>(st.resident_bytes_peak));
+  }
+  if (ingest.HasErrors()) {
+    std::printf("ingest: %s\n", ingest.Summary().c_str());
+    std::fputs(ingest.RenderText().c_str(), stderr);
+  }
+  if (!opts.ingest_report_path.empty()) {
+    Status written = ingest.WriteJsonFile(opts.ingest_report_path);
+    if (!written.ok()) return Fail(written);
+    std::printf("wrote ingest report to %s\n",
+                opts.ingest_report_path.c_str());
+  }
+
+  std::vector<std::pair<std::string, uint64_t>> rule_violation_counts;
+  if (!opts.rules_path.empty()) {
+    auto counted =
+        CheckExpertRules(expert_rules, *schema, result->store.get());
+    if (!counted.ok()) return Fail(counted.status());
+    rule_violation_counts = std::move(*counted);
+  }
+
+  if (!persisted.has_value()) {
+    const IngestReport& train_ingest = result->train_ingest;
+    if (train_ingest.HasErrors()) {
+      std::printf("ingest (train): %s\n", train_ingest.Summary().c_str());
+      std::fputs(train_ingest.RenderText().c_str(), stderr);
+    }
+    if (budgeted) {
+      std::printf("induced on %zu sampled records (reservoir capacity %zu)\n",
+                  result->sampled_rows, opts.sample_rows);
+    }
     if (opts.print_rules) {
-      std::printf("%s", RenderStructureModel(*model, *schema).c_str());
+      std::printf("%s", RenderStructureModel(result->model, *schema).c_str());
     }
     if (!opts.save_model_path.empty()) {
       StructureModel structure =
-          StructureModel::FromAuditModel(*model, *schema);
+          StructureModel::FromAuditModel(result->model, *schema);
       Status saved = structure.SaveToFile(opts.save_model_path);
       if (!saved.ok()) return Fail(saved);
       std::printf("persisted %zu rules to %s\n", structure.TotalRules(),
                   opts.save_model_path.c_str());
     }
-
-    auto audited = auditor.Audit(*model, *data, &timings);
-    if (!audited.ok()) return Fail(audited.status());
-    report = std::move(*audited);
-    PrintAuditOutcome(opts, *schema, timings, data->num_rows(),
-                      report.suspicious);
-
-    for (int i = 0; i < opts.explain &&
-                    static_cast<size_t>(i) < report.suspicious.size();
-         ++i) {
-      auto detail = ExplainRecord(
-          *model, *data, report.suspicious[static_cast<size_t>(i)].row, config);
-      if (detail.ok()) {
-        std::printf("\n%s",
-                    RenderSuspicionDetail(*detail, *model, *data).c_str());
-      }
-    }
+  }
+  PrintAuditOutcome(opts, *schema, *result,
+                    persisted.has_value() ? &*persisted : nullptr);
+  for (size_t i = 0; !persisted.has_value() && i < result->suspicious.size() &&
+                     i < static_cast<size_t>(opts.explain);
+       ++i) {
+    auto sheet = ExplainStreamedRow(*result, result->suspicious[i].row, config);
+    if (sheet.ok()) std::printf("\n%s", sheet->c_str());
   }
 
   if (opts.print_summary) {
-    const AuditSummary summary = SummarizeReport(report, *data);
+    const AuditSummary summary =
+        SummarizeSuspicions(result->suspicious, result->total_rows);
     std::printf("\n%s\n", RenderAuditSummary(summary, *schema).c_str());
-    if (model.has_value()) {
+    if (!persisted.has_value()) {
       std::printf("\ninduction time per attribute:\n");
-      for (const auto& [attr, ms] : timings.induce_attr_ms) {
+      for (const auto& [attr, ms] : result->timings.induce_attr_ms) {
         std::printf("  %-12s %8.1f ms\n",
                     schema->attribute(static_cast<size_t>(attr)).name.c_str(),
                     ms);
@@ -707,25 +568,24 @@ int main(int argc, char** argv) {
   }
 
   if (!opts.report_path.empty()) {
-    Status written = WriteAuditReportCsvFile(report, *data, opts.report_path);
+    Status written = WriteStreamAuditReportCsvFile(result->suspicious,
+                                                   *schema, opts.report_path);
     if (!written.ok()) return Fail(written);
     std::printf("wrote ranked report to %s\n", opts.report_path.c_str());
   }
 
   if (!opts.corrected_path.empty()) {
-    auto corrected = auditor.ApplyCorrections(report, *data);
-    if (!corrected.ok()) return Fail(corrected.status());
-    Status written = WriteCsvFile(*corrected, opts.corrected_path);
+    Status written = WriteCorrectedCsvFile(*result, opts.corrected_path);
     if (!written.ok()) return Fail(written);
     std::printf("\nwrote corrected table to %s\n", opts.corrected_path.c_str());
   }
 
-  manifest.threads_used = timings.threads_used;
-  Status history_appended =
-      append_history(data->num_rows(), report.suspicious,
-                     std::move(rule_violation_counts), timings);
+  manifest.threads_used = result->timings.threads_used;
+  Status history_appended = AppendHistory(opts, &manifest, *result,
+                                         std::move(rule_violation_counts));
   if (!history_appended.ok()) return Fail(history_appended);
-  Status exported = export_observability();
+  Status exported = obs::ExportRun(&manifest, opts.trace_out_path,
+                                   opts.metrics_out_path, stdout);
   if (!exported.ok()) return Fail(exported);
   return 0;
 }

@@ -295,21 +295,9 @@ int main(int argc, char** argv) {
       std::printf("wrote ingest report to %s\n",
                   opts.ingest_report_path.c_str());
     }
-    manifest.StampWallClock();
-    if (!opts.trace_out_path.empty()) {
-      Status traced = obs::Tracer::Global().WriteChromeTraceFile(
-          opts.trace_out_path, &manifest);
-      if (!traced.ok()) return Fail(traced);
-      std::printf("wrote trace to %s\n", opts.trace_out_path.c_str());
-    }
-    if (!opts.metrics_out_path.empty()) {
-      obs::SyncPoolMetrics();
-      Status dumped = obs::MetricsRegistry::Global().WriteJsonFile(
-          opts.metrics_out_path, &manifest);
-      if (!dumped.ok()) return Fail(dumped);
-      std::printf("wrote metrics to %s\n", opts.metrics_out_path.c_str());
-    }
-    return 0;
+    Status exported = obs::ExportRun(&manifest, opts.trace_out_path,
+                                     opts.metrics_out_path, stdout);
+    return exported.ok() ? 0 : Fail(exported);
   };
 
   std::vector<Rule> rules;

@@ -173,23 +173,11 @@ int main(int argc, char** argv) {
   obs::GetCounter("lint.errors")->Add(errors);
   obs::GetCounter("lint.warnings")->Add(warnings);
 
-  manifest.StampWallClock();
-  if (!opts.trace_out_path.empty()) {
-    Status written = obs::Tracer::Global().WriteChromeTraceFile(
-        opts.trace_out_path, &manifest);
-    if (!written.ok()) {
-      DQ_LOG_ERROR("dqlint", "%s", written.ToString().c_str());
-      return 2;
-    }
-  }
-  if (!opts.metrics_out_path.empty()) {
-    obs::SyncPoolMetrics();
-    Status written = obs::MetricsRegistry::Global().WriteJsonFile(
-        opts.metrics_out_path, &manifest);
-    if (!written.ok()) {
-      DQ_LOG_ERROR("dqlint", "%s", written.ToString().c_str());
-      return 2;
-    }
+  Status exported =
+      obs::ExportRun(&manifest, opts.trace_out_path, opts.metrics_out_path);
+  if (!exported.ok()) {
+    DQ_LOG_ERROR("dqlint", "%s", exported.ToString().c_str());
+    return 2;
   }
   return failed ? 1 : 0;
 }

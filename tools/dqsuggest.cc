@@ -347,17 +347,7 @@ int main(int argc, char** argv) {
                  opts.emit_path.c_str());
   }
 
-  manifest.StampWallClock();
-  if (!opts.trace_out_path.empty()) {
-    Status traced = obs::Tracer::Global().WriteChromeTraceFile(
-        opts.trace_out_path, &manifest);
-    if (!traced.ok()) return Fail(traced);
-  }
-  if (!opts.metrics_out_path.empty()) {
-    obs::SyncPoolMetrics();
-    Status dumped = obs::MetricsRegistry::Global().WriteJsonFile(
-        opts.metrics_out_path, &manifest);
-    if (!dumped.ok()) return Fail(dumped);
-  }
-  return 0;
+  Status exported =
+      obs::ExportRun(&manifest, opts.trace_out_path, opts.metrics_out_path);
+  return exported.ok() ? 0 : Fail(exported);
 }
