@@ -9,6 +9,7 @@
 #include "mining/encoded_dataset.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "stats/confidence.h"
 
 namespace dq {
 
@@ -212,8 +213,72 @@ Result<AuditModel> Auditor::Induce(const Table& train,
   return model;
 }
 
-Result<AuditReport> Auditor::Audit(const AuditModel& model, const Table& data,
-                                   AuditTimings* timings) const {
+namespace {
+
+/// Rows per scoring block, the unit of parallel work. Within a block each
+/// model scores every row before the next model starts; 1,024 and 8,192
+/// measured the same.
+constexpr size_t kScoreBlockRows = 1024;
+
+/// ClassEncoder::Encode of the record's class attribute, read from the
+/// typed columns.
+int ObservedClass(const ClassEncoder& encoder, const TableRecord& record) {
+  const auto attr = static_cast<size_t>(encoder.attr());
+  if (record.is_null(attr)) return -1;
+  if (encoder.type() == DataType::kNominal) return record.code(attr);
+  return encoder.EncodeOrdered(record.ordered(attr));
+}
+
+/// Makes a model's verdict record r's best so far. Callers keep Def. 8's
+/// running maximum: only a strictly larger confidence replaces the best.
+void Keep(AuditReport* report, size_t r, double conf, int attr,
+          const Value& suggestion, double support) {
+  report->record_confidence[r] = conf;
+  report->record_attr[r] = attr;
+  report->record_suggestion[r] = suggestion;
+  report->record_support[r] = support;
+}
+
+/// Rows [lo, hi) against one compiled tree.
+void ScoreTree(const ScoringModel& m, const ColumnSpan* columns, size_t lo,
+               size_t hi, double z, bool flag_nulls, AuditReport* report) {
+  const FlatTree& tree = *m.tree;
+  const auto num_classes = static_cast<size_t>(tree.num_classes);
+  std::vector<double> dist(num_classes);  // for records a null forks
+  for (size_t r = lo; r < hi; ++r) {
+    const TableRecord record{columns, r};
+    const int32_t hit = tree.Find(record);
+    if (hit == FlatTree::kNoMatch) continue;
+    const int observed = ObservedClass(*m.encoder, record);
+    if (hit >= 0) {
+      const FlatTree::Leaf& leaf = tree.leaves[static_cast<size_t>(hit)];
+      if (observed == leaf.predicted) continue;
+      const double conf =
+          ErrorConfidence(tree.distribution(hit), tree.num_classes,
+                          leaf.predicted, leaf.support, observed, z,
+                          flag_nulls);
+      if (conf > report->record_confidence[r]) {
+        Keep(report, r, conf, m.class_attr, leaf.suggestion, leaf.support);
+      }
+      continue;
+    }
+    std::fill(dist.begin(), dist.end(), 0.0);
+    const double support = tree.Distribute(record, dist.data());
+    const int predicted = PredictedClassOf(dist.data(), num_classes);
+    const double conf = ErrorConfidence(dist.data(), tree.num_classes,
+                                        predicted, support, observed, z,
+                                        flag_nulls);
+    if (conf > report->record_confidence[r]) {
+      Keep(report, r, conf, m.class_attr,
+           m.encoder->Representative(predicted), support);
+    }
+  }
+}
+
+}  // namespace
+
+AuditReport ScoreRecords(const std::vector<ScoringModel>& models,
+                         const Table& data, const AuditorConfig& config) {
   AuditReport report;
   const size_t n = data.num_rows();
   report.record_confidence.assign(n, 0.0);
@@ -222,73 +287,83 @@ Result<AuditReport> Auditor::Audit(const AuditModel& model, const Table& data,
   report.record_support.assign(n, 0.0);
   report.flagged.assign(n, false);
 
-  obs::Span audit_span("audit");
-  const int threads = ResolveThreadCount(config_.num_threads);
-
-  // Each record is scored independently (Def. 7/8) into its own slot, so
-  // rows chunk across the pool. The bit-packed `flagged` vector and the
-  // ranked suspicion list are filled serially below from the per-row
-  // results, which keeps them byte-identical to a serial run. No per-row
-  // spans: rows are chunked by thread count, which would make the span
-  // tree schedule-dependent.
-  {
-    obs::Span score_span("audit.score");
-    ParallelFor(threads, n, [&](size_t r) {
-      const Row row = data.row(r);  // one materialization per record
-      double best_conf = 0.0;
-      int best_attr = -1;
-      Value best_suggestion = Value::Null();
-      double best_support = 0.0;
-
-      for (const AttributeModel& am : model.models()) {
-        const Value& observed = row[static_cast<size_t>(am.class_attr)];
-        const int observed_class = am.encoder.Encode(observed);
-        const Prediction pred = am.classifier->Predict(row);
-        const double conf = ErrorConfidence(pred, observed_class,
-                                            config_.confidence_level,
-                                            config_.flag_null_values);
-        if (conf > best_conf) {
-          best_conf = conf;
-          best_attr = am.class_attr;
-          best_suggestion = am.encoder.Representative(pred.PredictedClass());
-          best_support = pred.support;
+  const double z = ZForConfidence(config.confidence_level);
+  const std::vector<ColumnSpan> columns = ColumnSpans(data);
+  // Each block writes only its own rows' slots, and per record the models
+  // run in model order whatever the schedule, so the report is identical
+  // for every thread count.
+  const size_t blocks = (n + kScoreBlockRows - 1) / kScoreBlockRows;
+  ParallelFor(ResolveThreadCount(config.num_threads), blocks, [&](size_t b) {
+    const size_t lo = b * kScoreBlockRows;
+    const size_t hi = std::min(n, lo + kScoreBlockRows);
+    for (const ScoringModel& m : models) {
+      if (m.tree != nullptr) {
+        ScoreTree(m, columns.data(), lo, hi, z, config.flag_null_values,
+                  &report);
+        continue;
+      }
+      for (size_t r = lo; r < hi; ++r) {
+        const Row row = data.row(r);
+        const Prediction pred = m.classifier->Predict(row);
+        const double conf = ErrorConfidence(
+            pred, m.encoder->Encode(row[static_cast<size_t>(m.class_attr)]),
+            config.confidence_level, config.flag_null_values);
+        if (conf > report.record_confidence[r]) {
+          Keep(&report, r, conf, m.class_attr,
+               m.encoder->Representative(pred.PredictedClass()),
+               pred.support);
         }
       }
+    }
+  });
+  return report;
+}
 
-      report.record_confidence[r] = best_conf;  // Def. 8 (max combination)
-      report.record_attr[r] = best_attr;
-      report.record_suggestion[r] = best_suggestion;
-      report.record_support[r] = best_support;
-    });
+void RankSuspicions(const Table& data, double min_error_confidence,
+                    AuditReport* report) {
+  for (size_t r = 0; r < report->record_confidence.size(); ++r) {
+    const int attr = report->record_attr[r];
+    if (attr < 0 || report->record_confidence[r] < min_error_confidence) {
+      continue;
+    }
+    report->flagged[r] = true;
+    report->suspicious.push_back({r, report->record_confidence[r], attr,
+                                  data.cell(r, static_cast<size_t>(attr)),
+                                  report->record_suggestion[r],
+                                  report->record_support[r]});
   }
+  std::stable_sort(report->suspicious.begin(), report->suspicious.end(),
+                   [](const Suspicion& a, const Suspicion& b) {
+                     return a.error_confidence > b.error_confidence;
+                   });
+}
 
+Result<AuditReport> Auditor::Audit(const AuditModel& model, const Table& data,
+                                   AuditTimings* timings) const {
+  obs::Span audit_span("audit");
+  std::vector<ScoringModel> models;
+  for (const AttributeModel& am : model.models()) {
+    const auto* tree = dynamic_cast<const C45Tree*>(am.classifier.get());
+    const bool compiled = tree != nullptr && !tree->flat().nodes.empty();
+    models.push_back({am.class_attr, &am.encoder,
+                      compiled ? &tree->flat() : nullptr,
+                      am.classifier.get()});
+  }
+  // One span per phase, none per block: blocks run on whichever worker is
+  // free, which would make the span tree schedule-dependent.
+  AuditReport report;
+  {
+    obs::Span score_span("audit.score");
+    report = ScoreRecords(models, data, config_);
+  }
   {
     obs::Span rank_span("audit.rank");
-    for (size_t r = 0; r < n; ++r) {
-      const double best_conf = report.record_confidence[r];
-      const int best_attr = report.record_attr[r];
-      if (best_conf >= config_.min_error_confidence && best_attr >= 0) {
-        report.flagged[r] = true;
-        Suspicion s;
-        s.row = r;
-        s.error_confidence = best_conf;
-        s.attr = best_attr;
-        s.observed = data.cell(r, static_cast<size_t>(best_attr));
-        s.suggestion = report.record_suggestion[r];
-        s.support = report.record_support[r];
-        report.suspicious.push_back(std::move(s));
-      }
-    }
-
-    std::stable_sort(report.suspicious.begin(), report.suspicious.end(),
-                     [](const Suspicion& a, const Suspicion& b) {
-                       return a.error_confidence > b.error_confidence;
-                     });
+    RankSuspicions(data, config_.min_error_confidence, &report);
   }
-  obs::GetCounter("audit.records_scored")->Add(n);
+  obs::GetCounter("audit.records_scored")->Add(data.num_rows());
   obs::GetCounter("audit.suspicions_flagged")->Add(report.suspicious.size());
   if (timings != nullptr) {
-    timings->threads_used = threads;
+    timings->threads_used = ResolveThreadCount(config_.num_threads);
     timings->audit_ms = audit_span.ElapsedMs();
   }
   return report;

@@ -1,5 +1,14 @@
 // Auditor: structure induction + deviation detection + correction proposal
 // (sec. 5, fig. 1 step 4).
+//
+// Deviation detection is one scoring engine (ScoreRecords) shared with the
+// persisted-model checker (StructureModel::Check). Models that come as
+// compiled flat trees (every induced C4.5 tree, every persisted rule set)
+// are walked over the table's typed columns, block by block with the
+// models outer and the rows inner, with no Row and no allocation per
+// record; a record whose walk meets a null on a split of an induced tree
+// takes C4.5's fractional-routing walk over the same arrays. Other
+// inducers (naive Bayes, kNN, OneR) are queried with one Row per record.
 
 #ifndef DQ_AUDIT_AUDITOR_H_
 #define DQ_AUDIT_AUDITOR_H_
@@ -108,6 +117,28 @@ struct AuditReport {
   std::vector<bool> flagged;
 };
 
+/// \brief One attribute model as the scoring engine sees it.
+struct ScoringModel {
+  int class_attr = -1;
+  const ClassEncoder* encoder = nullptr;
+  const FlatTree* tree = nullptr;          ///< compiled tree, or null
+  const Classifier* classifier = nullptr;  ///< queried per Row if no tree
+};
+
+/// \brief Scores every record of `data` against `models` (Def. 7) and keeps
+/// per record the maximum (Def. 8): models are visited in order and a
+/// strictly larger confidence wins, so the first model wins ties. Fills the
+/// report's record_* vectors; `flagged` and `suspicious` are left to
+/// RankSuspicions. Row blocks run across config.num_threads workers; the
+/// result is identical for every thread count.
+AuditReport ScoreRecords(const std::vector<ScoringModel>& models,
+                         const Table& data, const AuditorConfig& config);
+
+/// \brief Flags the records scoring at least `min_error_confidence` and
+/// ranks them by descending confidence (ties in row order).
+void RankSuspicions(const Table& data, double min_error_confidence,
+                    AuditReport* report);
+
 /// \brief Drives structure induction and data checking.
 class Auditor {
  public:
@@ -124,8 +155,8 @@ class Auditor {
 
   /// \brief Deviation detection over `data` (which may be the training
   /// table itself — "only a single database which serves both for training
-  /// and data audit", sec. 8). Records are scored in row chunks across
-  /// `num_threads` workers; the report is identical for every thread count.
+  /// and data audit", sec. 8) through ScoreRecords and RankSuspicions; the
+  /// report is identical for every thread count.
   Result<AuditReport> Audit(const AuditModel& model, const Table& data,
                             AuditTimings* timings = nullptr) const;
 

@@ -21,6 +21,15 @@ namespace dq {
 double ErrorConfidence(const Prediction& prediction, int observed_class,
                        double confidence_level, bool flag_nulls = true);
 
+/// \brief Definition 7 over a prediction's parts, for scorers that check
+/// many records: `distribution` holds `num_classes` class probabilities,
+/// `predicted` is their argmax (-1 when none) and `z` is
+/// ZForConfidence(confidence_level), computed once by the caller. Equal
+/// bit for bit to the Prediction overload.
+double ErrorConfidence(const double* distribution, int num_classes,
+                       int predicted, double support, int observed_class,
+                       double z, bool flag_nulls);
+
 /// \brief Definition 8: the maximum of the per-classifier confidences.
 double CombineErrorConfidences(const std::vector<double>& confidences);
 

@@ -14,8 +14,6 @@
 #include <string_view>
 #include <type_traits>
 
-#include "audit/error_confidence.h"
-#include "common/parallel.h"
 #include "common/strings.h"
 
 namespace dq {
@@ -32,16 +30,6 @@ std::string AttrName(const Schema& schema, int attr) {
   return "'" + schema.attribute(static_cast<size_t>(attr)).name + "'";
 }
 
-/// Class index of the cell (row, class attribute); ClassEncoder::Encode
-/// over the typed columns.
-int ObservedClass(const ClassEncoder& encoder, const Table& data,
-                  size_t row) {
-  const auto attr = static_cast<size_t>(encoder.attr());
-  if (data.is_null(row, attr)) return -1;
-  if (encoder.type() == DataType::kNominal) return data.code_at(row, attr);
-  return encoder.EncodeOrdered(data.ordered_at(row, attr));
-}
-
 std::vector<DataType> AttributeTypes(const Schema& schema) {
   std::vector<DataType> types;
   for (size_t a = 0; a < schema.num_attributes(); ++a) {
@@ -50,15 +38,23 @@ std::vector<DataType> AttributeTypes(const Schema& schema) {
   return types;
 }
 
-}  // namespace
+/// The empty tree an attribute's rules are inserted into.
+FlatTree RuleTree(const ClassEncoder& encoder) {
+  FlatTree tree;
+  tree.nodes.emplace_back();
+  tree.num_classes = encoder.num_classes();
+  return tree;
+}
 
-// ---------------------------------------------------------------------------
-// Compiled flat trees
-
-Status StructureModel::FlatTree::Insert(const Schema& schema,
-                                        const AttributeRuleSet& set,
-                                        size_t index) {
+/// Adds `set.rules[index]` to `tree` as one root-to-leaf path ending in
+/// leaf `index`. Fails when a condition is outside the schema or the rules
+/// stop forming one tree.
+Status InsertRule(const Schema& schema, const AttributeRuleSet& set,
+                  size_t index, FlatTree* tree) {
   using Kind = SplitCondition::Kind;
+  using NodeKind = FlatTree::Node::Kind;
+  std::vector<FlatTree::Node>& nodes = tree->nodes;
+  std::vector<int32_t>& children = tree->children;
   const StructureRule& rule = set.rules[index];
   size_t node = 0;
   for (size_t depth = 0; depth < rule.conditions.size(); ++depth) {
@@ -94,110 +90,80 @@ Status StructureModel::FlatTree::Insert(const Schema& schema,
       }
     }
 
-    const FlatNode::Kind split = cond.kind == Kind::kCategory
-                                     ? FlatNode::Kind::kCategory
-                                     : FlatNode::Kind::kOrdered;
-    FlatNode& at = nodes[node];
-    if (at.kind == FlatNode::Kind::kEmpty) {
+    const NodeKind split =
+        cond.kind == Kind::kCategory ? NodeKind::kCategory : NodeKind::kOrdered;
+    FlatTree::Node& at = nodes[node];
+    if (at.kind == NodeKind::kEmpty) {
+      const int32_t width = split == NodeKind::kCategory ? num_categories : 2;
+      if (children.size() + static_cast<size_t>(width) >
+          static_cast<size_t>(INT32_MAX)) {
+        return Status::InvalidArgument("too many category splits");
+      }
       at.kind = split;
       at.attr = cond.attr;
-      if (split == FlatNode::Kind::kCategory) {
-        if (children.size() + static_cast<size_t>(num_categories) >
-            static_cast<size_t>(INT32_MAX)) {
-          return Status::InvalidArgument("too many category splits");
-        }
-        at.first = static_cast<int32_t>(children.size());
-        at.num_categories = num_categories;
-        children.resize(children.size() + static_cast<size_t>(num_categories),
-                        -1);
-      } else {
-        at.threshold = cond.threshold;
-      }
-    } else if (at.kind == FlatNode::Kind::kLeaf) {
+      at.threshold = cond.threshold;
+      at.index = static_cast<int32_t>(children.size());
+      at.num_children = width;
+      children.resize(children.size() + static_cast<size_t>(width),
+                      FlatTree::kNoMatch);
+    } else if (at.kind == NodeKind::kLeaf) {
       return Status::InvalidArgument(
           "not a decision tree: condition " + std::to_string(depth + 1) +
           " extends a path an earlier rule already ends at");
     } else if (at.kind != split || at.attr != cond.attr ||
-               (split == FlatNode::Kind::kOrdered &&
+               (split == NodeKind::kOrdered &&
                 at.threshold != cond.threshold)) {
       return Status::InvalidArgument(
           "not a decision tree: condition " + std::to_string(depth + 1) +
           " splits differently from an earlier rule with the same prefix");
     }
 
-    int32_t* slot =
-        split == FlatNode::Kind::kCategory
-            ? &children[static_cast<size_t>(at.first + cond.category)]
-            : (cond.kind == Kind::kLessEq ? &at.le : &at.gt);
-    if (*slot < 0) {
+    const int32_t branch = cond.kind == Kind::kCategory ? cond.category
+                           : cond.kind == Kind::kLessEq ? 0
+                                                        : 1;
+    int32_t& slot = children[static_cast<size_t>(at.index + branch)];
+    if (slot < 0) {
       if (nodes.size() >= static_cast<size_t>(INT32_MAX)) {
         return Status::InvalidArgument("too many tree nodes");
       }
-      *slot = static_cast<int32_t>(nodes.size());
+      slot = static_cast<int32_t>(nodes.size());
+      nodes.emplace_back();  // invalidates at
     }
-    node = static_cast<size_t>(*slot);
-    if (node == nodes.size()) nodes.emplace_back();  // invalidates at, slot
+    node = static_cast<size_t>(slot);
   }
 
-  FlatNode& leaf = nodes[node];
-  if (leaf.kind == FlatNode::Kind::kLeaf) {
+  FlatTree::Node& leaf = nodes[node];
+  if (leaf.kind == NodeKind::kLeaf) {
     return Status::InvalidArgument(
         "not a decision tree: duplicate leaf (an earlier rule has the same "
         "conditions)");
   }
-  if (leaf.kind != FlatNode::Kind::kEmpty) {
+  if (leaf.kind != NodeKind::kEmpty) {
     return Status::InvalidArgument(
         "not a decision tree: rule ends at an inner node of earlier rules");
   }
-  leaf.kind = FlatNode::Kind::kLeaf;
-  leaf.rule = static_cast<int32_t>(index);
+  leaf.kind = NodeKind::kLeaf;
+  leaf.index = static_cast<int32_t>(index);
 
   // What the checker reports for a match, computed once per rule the way
-  // the rule scan computed it per record.
-  Prediction pred;
+  // the rule scan computed it per record: the support-normalized counts.
+  const auto num_classes = static_cast<size_t>(tree->num_classes);
+  tree->leaves.resize(index + 1);
+  tree->distributions.resize((index + 1) * num_classes, 0.0);
+  FlatTree::Leaf& entry = tree->leaves[index];
+  double* dist = tree->distributions.data() + index * num_classes;
   if (rule.support > 0.0) {
-    pred.support = rule.support;
-    pred.distribution.reserve(rule.class_counts.size());
-    for (double c : rule.class_counts) {
-      pred.distribution.push_back(c / rule.support);
+    entry.support = rule.support;
+    for (size_t c = 0; c < num_classes; ++c) {
+      dist[c] = rule.class_counts[c] / rule.support;
     }
+    entry.predicted = PredictedClassOf(dist, num_classes);
   }
-  predictions.resize(index + 1);
-  suggestions.resize(index + 1);
-  predictions[index] = std::move(pred);
-  suggestions[index] = set.encoder.Representative(rule.majority_class);
+  entry.suggestion = set.encoder.Representative(rule.majority_class);
   return Status::OK();
 }
 
-int32_t StructureModel::FlatTree::Find(const Table& data, size_t row) const {
-  size_t node = 0;
-  for (;;) {
-    const FlatNode& at = nodes[node];
-    int32_t child = -1;
-    switch (at.kind) {
-      case FlatNode::Kind::kEmpty:
-        return -1;
-      case FlatNode::Kind::kLeaf:
-        return at.rule;
-      case FlatNode::Kind::kCategory: {
-        const auto attr = static_cast<size_t>(at.attr);
-        if (data.is_null(row, attr)) return -1;
-        const int32_t code = data.code_at(row, attr);
-        if (code < 0 || code >= at.num_categories) return -1;
-        child = children[static_cast<size_t>(at.first + code)];
-        break;
-      }
-      case FlatNode::Kind::kOrdered: {
-        const auto attr = static_cast<size_t>(at.attr);
-        if (data.is_null(row, attr)) return -1;
-        child = data.ordered_at(row, attr) <= at.threshold ? at.le : at.gt;
-        break;
-      }
-    }
-    if (child < 0) return -1;
-    node = static_cast<size_t>(child);
-  }
-}
+}  // namespace
 
 StructureModel StructureModel::FromAuditModel(const AuditModel& model,
                                               const Schema& schema,
@@ -210,11 +176,11 @@ StructureModel StructureModel::FromAuditModel(const AuditModel& model,
     set.encoder = am.encoder;
     set.rules = ExtractRules(am, drop_useless);
     if (set.rules.empty()) continue;
-    FlatTree tree;
+    FlatTree tree = RuleTree(set.encoder);
     for (size_t i = 0; i < set.rules.size(); ++i) {
       // C4.5 paths over the schema the tree was induced on always form
       // one tree; a failure here is a bug in rule extraction.
-      const Status inserted = tree.Insert(schema, set, i);
+      const Status inserted = InsertRule(schema, set, i, &tree);
       DQ_DCHECK(inserted.ok());
       (void)inserted;
     }
@@ -236,67 +202,13 @@ Result<AuditReport> StructureModel::Check(const Table& data,
     return Status::InvalidArgument(
         "table schema does not match the structure model's schema");
   }
-  AuditReport report;
-  const size_t n = data.num_rows();
-  report.record_confidence.assign(n, 0.0);
-  report.record_attr.assign(n, -1);
-  report.record_suggestion.assign(n, Value::Null());
-  report.record_support.assign(n, 0.0);
-  report.flagged.assign(n, false);
-
-  // Records are independent: chunk rows across the pool into pre-assigned
-  // slots, then build the bit-packed flags and the ranked list serially so
-  // the report matches a serial run byte for byte. Per record, the
-  // attribute models are visited in model order and a strictly larger
-  // confidence wins (Definition 8's maximum, first model on ties).
-  ParallelFor(ResolveThreadCount(config.num_threads), n, [&](size_t r) {
-    double best = 0.0;
-    int best_attr = -1;
-    const Value* suggestion = nullptr;
-    double support = 0.0;
-    for (size_t s = 0; s < trees_.size(); ++s) {
-      const FlatTree& tree = trees_[s];
-      const int32_t hit = tree.Find(data, r);
-      if (hit < 0) continue;
-      const auto rule = static_cast<size_t>(hit);
-      const Prediction& pred = tree.predictions[rule];
-      if (pred.support <= 0.0) continue;
-      const AttributeRuleSet& set = rule_sets_[s];
-      const double conf =
-          ErrorConfidence(pred, ObservedClass(set.encoder, data, r),
-                          config.confidence_level, config.flag_null_values);
-      if (conf > best) {
-        best = conf;
-        best_attr = set.class_attr;
-        suggestion = &tree.suggestions[rule];
-        support = pred.support;
-      }
-    }
-    report.record_confidence[r] = best;
-    report.record_attr[r] = best_attr;
-    if (suggestion != nullptr) report.record_suggestion[r] = *suggestion;
-    report.record_support[r] = support;
-  });
-  for (size_t r = 0; r < n; ++r) {
-    const int attr = report.record_attr[r];
-    if (attr < 0 ||
-        report.record_confidence[r] < config.min_error_confidence) {
-      continue;
-    }
-    report.flagged[r] = true;
-    Suspicion s;
-    s.row = r;
-    s.error_confidence = report.record_confidence[r];
-    s.attr = attr;
-    s.observed = data.cell(r, static_cast<size_t>(attr));
-    s.suggestion = report.record_suggestion[r];
-    s.support = report.record_support[r];
-    report.suspicious.push_back(std::move(s));
+  std::vector<ScoringModel> models;
+  for (size_t s = 0; s < trees_.size(); ++s) {
+    models.push_back({rule_sets_[s].class_attr, &rule_sets_[s].encoder,
+                      &trees_[s], nullptr});
   }
-  std::stable_sort(report.suspicious.begin(), report.suspicious.end(),
-                   [](const Suspicion& a, const Suspicion& b) {
-                     return a.error_confidence > b.error_confidence;
-                   });
+  AuditReport report = ScoreRecords(models, data, config);
+  RankSuspicions(data, config.min_error_confidence, &report);
   return report;
 }
 
@@ -522,7 +434,7 @@ Result<StructureModel> StructureModel::Parse(const Schema& schema,
       set.class_attr = attr;
       set.encoder = std::move(*encoder);
       model.rule_sets_.push_back(std::move(set));
-      model.trees_.emplace_back();
+      model.trees_.push_back(RuleTree(model.rule_sets_.back().encoder));
       continue;
     }
     if (tag != "rule") {
@@ -592,8 +504,8 @@ Result<StructureModel> StructureModel::Parse(const Schema& schema,
       rule.conditions.push_back(cond);
     }
     set.rules.push_back(std::move(rule));
-    Status inserted =
-        model.trees_.back().Insert(schema, set, set.rules.size() - 1);
+    Status inserted = InsertRule(schema, set, set.rules.size() - 1,
+                                 &model.trees_.back());
     if (!inserted.ok()) return ModelParseError(line_no, inserted.message());
   }
   return ModelParseError(lines.line_no(), "missing 'end'");

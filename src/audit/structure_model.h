@@ -14,9 +14,11 @@
 //
 // The rules of one attribute are the root-to-leaf paths of its decision
 // tree, so construction (FromAuditModel and Deserialize alike) compiles
-// them back into one flat node array per attribute. Check walks those
-// arrays over the Table's typed columns: O(tree depth) per attribute model
-// and record, with no Row materialization. The verdicts are exactly those
+// them back into one FlatTree per attribute (mining/flat_tree.h, the node
+// layout induced C4.5 trees compile to as well). Check hands those trees
+// to the auditor's scoring engine (ScoreRecords), which walks them over
+// the Table's typed columns: O(tree depth) per attribute model and record,
+// with no Row materialization. The verdicts are exactly those
 // of first-match scanning with StructureRule::Matches: a null on any
 // visited split, a category with no child, or a leaf with zero support
 // matches nothing. Checking semantics therefore match the tree-based audit
@@ -90,41 +92,13 @@ class StructureModel {
                                              const std::string& path);
 
  private:
-  /// One node of a compiled attribute tree. Children are node indices; -1
-  /// means the path was not exported (no rule matches below it).
-  struct FlatNode {
-    enum class Kind : uint8_t { kEmpty, kLeaf, kCategory, kOrdered };
-    Kind kind = Kind::kEmpty;
-    int32_t attr = -1;       ///< split attribute (kCategory / kOrdered)
-    int32_t rule = -1;       ///< kLeaf: index into AttributeRuleSet::rules
-    int32_t le = -1;         ///< kOrdered: child for value <= threshold
-    int32_t gt = -1;         ///< kOrdered: child for value > threshold
-    int32_t first = 0;       ///< kCategory: offset into FlatTree::children
-    int32_t num_categories = 0;  ///< kCategory: the schema domain size
-    double threshold = 0.0;  ///< kOrdered split point
-  };
-
-  /// One attribute's rules compiled into a flat tree, plus the per-rule
-  /// prediction and correction proposal the checker reports.
-  struct FlatTree {
-    std::vector<FlatNode> nodes{FlatNode{}};  ///< nodes[0] is the root
-    std::vector<int32_t> children;  ///< dense per-category child tables
-    std::vector<Prediction> predictions;  ///< per rule; support-normalized
-    std::vector<Value> suggestions;       ///< per rule; majority class value
-
-    /// Adds `set.rules[index]` as one root-to-leaf path. Fails when a
-    /// condition is outside the schema or the rules stop forming one tree.
-    Status Insert(const Schema& schema, const AttributeRuleSet& set,
-                  size_t index);
-    /// Rule matched by record `row`, or -1 when none matches.
-    int32_t Find(const Table& data, size_t row) const;
-  };
-
   static Result<StructureModel> Parse(const Schema& schema,
                                       std::string_view text);
 
   std::vector<AttributeRuleSet> rule_sets_;
-  std::vector<FlatTree> trees_;  ///< parallel to rule_sets_
+  /// Parallel to rule_sets_: each set's rules compiled into one tree whose
+  /// leaf i is rule i; nulls and unseen categories match nothing.
+  std::vector<FlatTree> trees_;
   /// Attribute types of the schema the trees were compiled against; the
   /// typed walk needs the checked table to have the same layout.
   std::vector<DataType> attr_types_;

@@ -1,6 +1,7 @@
 #include "mining/c45.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <optional>
 
@@ -69,24 +70,6 @@ std::string SplitCondition::ToString(const Schema& schema) const {
 
 // ---------------------------------------------------------------------------
 // Tree structure
-
-struct C45Tree::Node {
-  std::vector<double> class_counts;
-  double weight = 0.0;
-  int majority = 0;
-
-  int split_attr = -1;  // -1 => leaf
-  bool ordered_split = false;
-  double threshold = 0.0;
-  std::vector<std::unique_ptr<Node>> children;
-  std::vector<double> child_weights;  // known-value weight per child
-  double known_weight = 0.0;
-
-  /// Def. 9 value of this node (leaf value or weighted child aggregate).
-  double expected_error_conf = 0.0;
-
-  bool IsLeaf() const { return split_attr < 0; }
-};
 
 struct C45Tree::BuildContext {
   const Table* table;
@@ -296,7 +279,7 @@ Status C45Tree::Train(const TrainingData& data) {
       PrunePessimistic(root_.get());
     }
   }
-  obs::GetCounter("c45.tree_nodes")->Add(NodeCount());
+  Compile();
   return Status::OK();
 }
 
@@ -1394,7 +1377,7 @@ Status C45Tree::TrainHistogram(const TrainingData& data,
       PrunePessimistic(root_.get());
     }
   }
-  obs::GetCounter("c45.tree_nodes")->Add(NodeCount());
+  Compile();
   return Status::OK();
 }
 
@@ -1461,62 +1444,68 @@ void C45Tree::PrunePessimistic(Node* node) {
 // ---------------------------------------------------------------------------
 // Classification
 
-void C45Tree::PredictInto(const Node& node, const Row& row, double weight,
-                          std::vector<double>* dist, double* support) const {
+void C45Tree::Compile() {
+  obs::GetCounter("c45.tree_nodes")->Add(NodeCount());
+  flat_ = FlatTree();
+  flat_.num_classes = num_classes_;
+  std::vector<int32_t> empty_leaves(static_cast<size_t>(num_classes_),
+                                    FlatTree::kNoMatch);
+  CompileNode(*root_, &empty_leaves);
+}
+
+int32_t C45Tree::CompileNode(const Node& node,
+                             std::vector<int32_t>* empty_leaves) {
+  // An empty leaf scores as nothing but its majority class (Accumulate reads
+  // neither its counts nor its weight), so one node per majority serves
+  // every empty branch of the tree.
+  const bool empty = node.IsLeaf() && node.weight <= kEps;
+  int32_t& shared = (*empty_leaves)[static_cast<size_t>(node.majority)];
+  if (empty && shared >= 0) return shared;
+  const auto at = static_cast<int32_t>(flat_.nodes.size());
+  if (empty) shared = at;
+  flat_.nodes.emplace_back();
+  flat_.known_weight.push_back(node.known_weight);
   if (node.IsLeaf()) {
-    if (node.weight > kEps) {
-      for (size_t c = 0; c < node.class_counts.size(); ++c) {
-        (*dist)[c] += weight * node.class_counts[c] / node.weight;
-      }
-      *support += weight * node.weight;
-    } else {
-      // Empty training leaf: fall back to its majority with zero support.
-      (*dist)[static_cast<size_t>(node.majority)] += weight;
+    const int32_t leaf =
+        flat_.AppendLeaf(node.class_counts.data(), node.weight, node.majority);
+    FlatTree::Leaf& entry = flat_.leaves.back();
+    if (entry.predicted >= 0) {
+      entry.suggestion = encoder_->Representative(entry.predicted);
     }
-    return;
+    flat_.nodes[static_cast<size_t>(at)].kind = FlatTree::Node::Kind::kLeaf;
+    flat_.nodes[static_cast<size_t>(at)].index = leaf;
+    return at;
   }
-  const Value& v = row[static_cast<size_t>(node.split_attr)];
-  if (v.is_null()) {
-    // Distribute over branches by training fractions (C4.5 missing-value
-    // classification).
-    if (node.known_weight <= kEps) {
-      PredictInto(*node.children[0], row, weight, dist, support);
-      return;
-    }
-    for (size_t b = 0; b < node.children.size(); ++b) {
-      if (node.child_weights[b] <= kEps) continue;
-      PredictInto(*node.children[b], row,
-                  weight * node.child_weights[b] / node.known_weight, dist,
-                  support);
-    }
-    return;
+  const auto first = static_cast<int32_t>(flat_.children.size());
+  const size_t num_children = node.children.size();
+  flat_.children.resize(flat_.children.size() + num_children);
+  flat_.child_weight.insert(flat_.child_weight.end(),
+                            node.child_weights.begin(),
+                            node.child_weights.end());
+  for (size_t b = 0; b < num_children; ++b) {
+    const int32_t child = CompileNode(*node.children[b], empty_leaves);
+    flat_.children[static_cast<size_t>(first) + b] = child;
   }
-  size_t b;
-  if (node.ordered_split) {
-    b = v.OrderedValue() <= node.threshold ? 0 : 1;
-  } else {
-    const int32_t code = v.nominal_code();
-    if (code < 0 || static_cast<size_t>(code) >= node.children.size()) {
-      PredictInto(*node.children[0], row, weight, dist, support);
-      return;
-    }
-    b = static_cast<size_t>(code);
-  }
-  PredictInto(*node.children[b], row, weight, dist, support);
+  FlatTree::Node& split = flat_.nodes[static_cast<size_t>(at)];
+  split.kind = node.ordered_split ? FlatTree::Node::Kind::kOrdered
+                                  : FlatTree::Node::Kind::kCategory;
+  split.attr = node.split_attr;
+  split.index = first;
+  split.num_children = static_cast<int32_t>(num_children);
+  split.threshold = node.threshold;
+  // A category the training data never showed takes the first branch; a
+  // null is spread over the branches by training fractions, or takes the
+  // first branch when no training value was known.
+  split.on_unseen = 0;
+  split.on_null = node.known_weight <= kEps ? 0 : FlatTree::kFork;
+  return at;
 }
 
 Prediction C45Tree::Predict(const Row& row) const {
   Prediction out;
   out.distribution.assign(static_cast<size_t>(num_classes_), 0.0);
   if (root_ == nullptr) return out;
-  double support = 0.0;
-  PredictInto(*root_, row, 1.0, &out.distribution, &support);
-  out.support = support;
-  double total = 0.0;
-  for (double p : out.distribution) total += p;
-  if (total > kEps) {
-    for (double& p : out.distribution) p /= total;
-  }
+  out.support = flat_.Distribute(RowRecord{&row}, out.distribution.data());
   return out;
 }
 
@@ -1541,25 +1530,14 @@ void CountNodes(const NodeT& node, size_t depth, size_t* nodes, size_t* leaves,
 
 }  // namespace
 
-size_t C45Tree::NodeCount() const {
-  if (root_ == nullptr) return 0;
-  size_t nodes = 0, leaves = 0, depth = 0;
-  CountNodes(*root_, 1, &nodes, &leaves, &depth);
-  return nodes;
-}
+size_t C45Tree::NodeCount() const { return Shape()[0]; }
+size_t C45Tree::LeafCount() const { return Shape()[1]; }
+size_t C45Tree::TreeDepth() const { return Shape()[2]; }
 
-size_t C45Tree::LeafCount() const {
-  if (root_ == nullptr) return 0;
+std::array<size_t, 3> C45Tree::Shape() const {
   size_t nodes = 0, leaves = 0, depth = 0;
-  CountNodes(*root_, 1, &nodes, &leaves, &depth);
-  return leaves;
-}
-
-size_t C45Tree::TreeDepth() const {
-  if (root_ == nullptr) return 0;
-  size_t nodes = 0, leaves = 0, depth = 0;
-  CountNodes(*root_, 1, &nodes, &leaves, &depth);
-  return depth;
+  if (root_ != nullptr) CountNodes(*root_, 1, &nodes, &leaves, &depth);
+  return {nodes, leaves, depth};
 }
 
 void C45Tree::VisitPaths(

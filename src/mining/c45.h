@@ -26,10 +26,12 @@
 #ifndef DQ_MINING_C45_H_
 #define DQ_MINING_C45_H_
 
+#include <array>
 #include <functional>
 #include <memory>
 
 #include "mining/classifier.h"
+#include "mining/flat_tree.h"
 
 namespace dq {
 
@@ -148,6 +150,15 @@ struct LeafInfo {
 };
 
 /// \brief C4.5 decision tree classifier.
+///
+/// Train induces the tree over linked nodes, prunes it, and then compiles it
+/// into one FlatTree: a contiguous node array whose split nodes keep their
+/// per-branch known training weights (so a null is routed fractionally, as
+/// C4.5 classifies missing values) and whose leaf table holds each leaf's
+/// normalized distribution, support, predicted class and the suggested
+/// correction. Predict and the auditor's column-wise scorer both walk that
+/// array. The leaf values are computed with the expressions and in the
+/// order a walk uses, so a leaf-table lookup equals the walk bit for bit.
 class C45Tree : public Classifier {
  public:
   explicit C45Tree(C45Config config = {});
@@ -160,6 +171,9 @@ class C45Tree : public Classifier {
   std::string name() const override { return "c4.5"; }
 
   const C45Config& config() const { return config_; }
+
+  /// \brief The compiled tree (empty until Train succeeds).
+  const FlatTree& flat() const { return flat_; }
 
   size_t NodeCount() const;
   size_t LeafCount() const;
@@ -182,10 +196,29 @@ class C45Tree : public Classifier {
                                            const LeafInfo&)>& visitor) const;
 
  private:
-  struct Node;
+  /// A node of the linked tree Train induces and prunes.
+  struct Node {
+    std::vector<double> class_counts;
+    double weight = 0.0;
+    int majority = 0;
+
+    int split_attr = -1;  // -1 => leaf
+    bool ordered_split = false;
+    double threshold = 0.0;
+    std::vector<std::unique_ptr<Node>> children;
+    std::vector<double> child_weights;  // known-value weight per child
+    double known_weight = 0.0;
+
+    /// Def. 9 value of this node (leaf value or weighted child aggregate).
+    double expected_error_conf = 0.0;
+
+    bool IsLeaf() const { return split_attr < 0; }
+  };
   struct BuildContext;
   struct NodeData;
   friend struct C45HistogramBuilder;  // histogram-mode frontier build
+  /// Tests walk the linked tree to check the compiled one against it.
+  friend struct C45TreeTestPeer;
 
   std::unique_ptr<Node> Build(BuildContext* ctx, NodeData data,
                               std::vector<bool> avail, int depth);
@@ -195,8 +228,13 @@ class C45Tree : public Classifier {
   void PruneExpectedErrorConf(Node* node);
   double PessimisticErrors(const Node& node) const;
   void PrunePessimistic(Node* node);
-  void PredictInto(const Node& node, const Row& row, double weight,
-                   std::vector<double>* dist, double* support) const;
+  /// {node count, leaf count, depth} of the linked tree.
+  std::array<size_t, 3> Shape() const;
+  /// Rebuilds flat_ from root_ (the last step of Train).
+  void Compile();
+  /// Appends `node`'s subtree to flat_ in preorder; returns its index.
+  /// `empty_leaves` maps a majority class to its shared empty leaf node.
+  int32_t CompileNode(const Node& node, std::vector<int32_t>* empty_leaves);
 
   C45Config config_;
   const Table* table_ = nullptr;
@@ -206,6 +244,7 @@ class C45Tree : public Classifier {
   double presort_ms_ = 0.0;
   double build_ms_ = 0.0;
   std::unique_ptr<Node> root_;
+  FlatTree flat_;
 };
 
 }  // namespace dq

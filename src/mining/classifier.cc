@@ -4,10 +4,10 @@
 
 namespace dq {
 
-int Prediction::PredictedClass() const {
+int PredictedClassOf(const double* distribution, size_t num_classes) {
   int best = -1;
   double best_p = 0.0;
-  for (size_t i = 0; i < distribution.size(); ++i) {
+  for (size_t i = 0; i < num_classes; ++i) {
     if (distribution[i] > best_p) {
       best_p = distribution[i];
       best = static_cast<int>(i);

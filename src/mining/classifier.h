@@ -26,6 +26,10 @@ namespace dq {
 
 class EncodedDataset;
 
+/// \brief argmax of a class distribution: the first class with the largest
+/// positive probability, -1 when no probability is positive.
+int PredictedClassOf(const double* distribution, size_t num_classes);
+
 /// \brief A classifier's answer for one record.
 struct Prediction {
   /// Probability per class index; sums to 1 when support > 0.
@@ -34,7 +38,9 @@ struct Prediction {
   double support = 0.0;
 
   /// \brief argmax class, -1 if the distribution is empty/zero.
-  int PredictedClass() const;
+  int PredictedClass() const {
+    return PredictedClassOf(distribution.data(), distribution.size());
+  }
 
   /// \brief Probability of a class (0 for out-of-range indices).
   double ProbabilityOf(int cls) const {

@@ -9,7 +9,6 @@ namespace dq {
 ReservoirSampler::ReservoirSampler(size_t capacity, uint64_t seed)
     : capacity_(capacity), rng_(seed) {
   DQ_DCHECK(capacity > 0);
-  slots_.reserve(capacity);
 }
 
 void ReservoirSampler::Offer(const Row& row) {

@@ -19,8 +19,8 @@
 #define DQ_MINING_SAMPLE_H_
 
 #include <cstdint>
+#include <deque>
 #include <utility>
-#include <vector>
 
 #include "common/random.h"
 #include "table/table.h"
@@ -49,8 +49,11 @@ class ReservoirSampler {
   size_t capacity_;
   Rng rng_;
   size_t rows_seen_ = 0;
-  /// (global row index, row) pairs; unordered until BuildSampleTable.
-  std::vector<std::pair<uint64_t, Row>> slots_;
+  /// (global row index, row) pairs; unordered until BuildSampleTable. A
+  /// deque grows with the rows actually seen, without reserving capacity
+  /// up front (which a huge capacity would exhaust memory on) or copying
+  /// the filled slots when it grows.
+  std::deque<std::pair<uint64_t, Row>> slots_;
 };
 
 }  // namespace dq

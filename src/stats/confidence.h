@@ -33,6 +33,11 @@ struct Interval {
 /// two-sided confidence `level`. n == 0 yields the vacuous [0, 1].
 Interval WilsonInterval(double p, double n, double level);
 
+/// \brief WilsonInterval with the z quantile given (z =
+/// ZForConfidence(level)), for callers that hoist it out of a loop; equal
+/// bit for bit to WilsonInterval at that level.
+Interval WilsonIntervalZ(double p, double n, double z);
+
 /// \brief leftBound(p, n): lower Wilson bound (Def. 7 / Def. 9).
 double LeftBound(double p, double n, double level);
 

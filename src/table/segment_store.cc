@@ -2,6 +2,7 @@
 
 #include <stdlib.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
@@ -32,17 +33,28 @@ SegmentStore::~SegmentStore() {
 Status SegmentStore::Append(const TableChunk& chunk,
                             const std::vector<uint8_t>* keep) {
   DQ_DCHECK(!finished_);
-  open_.AppendChunk(chunk, keep);
-  const uint64_t new_bytes = open_.byte_size();
-  resident_bytes_ += new_bytes - open_bytes_;
-  open_bytes_ = new_bytes;
-  num_rows_ = segments_.empty()
-                  ? open_.num_rows()
-                  : segments_.back().base_row + segments_.back().rows +
-                        open_.num_rows();
-  if (open_.num_rows() >= options_.segment_rows) {
-    DQ_RETURN_NOT_OK(SealOpen());
-    DQ_RETURN_NOT_OK(EnforceBudget());
+  // The chunk is appended in slot ranges that end where the open segment
+  // reaches segment_rows, so segments seal at exactly segment_rows kept
+  // records whatever the ingest batch size.
+  const size_t cap = std::max<size_t>(1, options_.segment_rows);
+  size_t begin = 0;
+  while (begin < chunk.num_rows()) {
+    size_t room = cap - open_.num_rows();
+    size_t end = begin;
+    for (; end < chunk.num_rows() && room > 0; ++end) {
+      if (keep == nullptr || (*keep)[end] != 0) --room;
+    }
+    const size_t before = open_.num_rows();
+    open_.AppendChunk(chunk, keep, begin, end);
+    num_rows_ += open_.num_rows() - before;
+    const uint64_t new_bytes = open_.byte_size();
+    resident_bytes_ += new_bytes - open_bytes_;
+    open_bytes_ = new_bytes;
+    if (open_.num_rows() >= cap) {
+      DQ_RETURN_NOT_OK(SealOpen());
+      DQ_RETURN_NOT_OK(EnforceBudget());
+    }
+    begin = end;
   }
   PublishGauges();
   return Status::OK();

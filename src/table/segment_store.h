@@ -34,9 +34,9 @@
 namespace dq {
 
 struct SegmentStoreOptions {
-  /// Rows per sealed segment. The open segment seals at the first chunk
-  /// boundary at or past this many rows, so actual segment sizes may
-  /// overshoot by up to one ingest batch.
+  /// Rows per sealed segment: appended chunks are split so every segment
+  /// but the last holds exactly this many rows, whatever the ingest batch
+  /// size.
   size_t segment_rows = 65536;
 
   /// Resident-byte cap across all segments; 0 = unlimited (never spill).

@@ -1,5 +1,6 @@
 #include "table/table.h"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 
@@ -176,14 +177,17 @@ void Table::AppendRowFrom(const Table& src, size_t src_row) {
 }
 
 void Table::AppendChunk(const TableChunk& chunk,
-                        const std::vector<uint8_t>* keep) {
+                        const std::vector<uint8_t>* keep, size_t begin,
+                        size_t end) {
   DQ_DCHECK(chunk.cols_.size() == cols_.size());
   DQ_DCHECK(keep == nullptr || keep->size() == chunk.num_rows());
+  end = std::min(end, chunk.num_rows());
+  if (begin >= end) return;
   size_t kept = 0;
   if (keep == nullptr) {
-    kept = chunk.num_rows();
+    kept = end - begin;
   } else {
-    for (uint8_t k : *keep) kept += k != 0 ? 1 : 0;
+    for (size_t i = begin; i < end; ++i) kept += (*keep)[i] != 0 ? 1 : 0;
   }
   if (kept == 0) return;
   for (size_t a = 0; a < cols_.size(); ++a) {
@@ -192,7 +196,7 @@ void Table::AppendChunk(const TableChunk& chunk,
     DQ_DCHECK(dst.type == src.type);
     GrowBits(&dst.nulls, num_rows_ + kept);
     size_t out = num_rows_;
-    for (size_t i = 0; i < chunk.num_rows(); ++i) {
+    for (size_t i = begin; i < end; ++i) {
       if (keep != nullptr && (*keep)[i] == 0) continue;
       if (dst.type == DataType::kNumeric) {
         dst.num.push_back(src.num[i]);

@@ -19,6 +19,7 @@
 #define DQ_TABLE_TABLE_H_
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -105,11 +106,13 @@ class Table {
   /// fast path for split/pollution row shuffling — no Value materialization.
   void AppendRowFrom(const Table& src, size_t src_row);
 
-  /// \brief Bulk append of a decoded chunk. When `keep` is non-null only
-  /// slots with keep[i] != 0 land in the table (in slot order); quarantined
-  /// CSV records are dropped this way without re-packing the chunk.
+  /// \brief Bulk append of the slots [begin, end) of a decoded chunk
+  /// (`end` is clamped to the chunk). When `keep` is non-null only slots
+  /// with keep[i] != 0 land in the table (in slot order); quarantined CSV
+  /// records are dropped this way without re-packing the chunk.
   void AppendChunk(const TableChunk& chunk,
-                   const std::vector<uint8_t>* keep = nullptr);
+                   const std::vector<uint8_t>* keep = nullptr,
+                   size_t begin = 0, size_t end = SIZE_MAX);
 
   /// \brief Column-to-column bulk append of every row of `src` (same
   /// schema); the deterministic in-order assembly path segment stores use

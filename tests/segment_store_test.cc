@@ -99,6 +99,37 @@ TEST(SegmentStoreTest, MaterializeEqualsDirectAppendWithoutBudget) {
   EXPECT_EQ(next, store.num_rows());
 }
 
+TEST(SegmentStoreTest, SegmentsSealAtExactlySegmentRows) {
+  // One 1000-slot chunk with every third slot dropped: 667 kept records
+  // split into segments of exactly 100, whatever the chunk size.
+  const Schema schema = TestSchema();
+  SegmentStoreOptions options;
+  options.segment_rows = 100;
+  SegmentStore store(schema, options);
+  TableChunk chunk(schema);
+  chunk.Reset(1000);
+  std::vector<uint8_t> keep(1000);
+  for (size_t i = 0; i < keep.size(); ++i) {
+    chunk.Set(i, 0, Value::Nominal(static_cast<int32_t>(i % 3)));
+    keep[i] = i % 3 != 2;
+  }
+  ASSERT_TRUE(store.Append(chunk, &keep).ok());
+  ASSERT_TRUE(store.Finish().ok());
+  ASSERT_EQ(store.num_rows(), 667u);
+  ASSERT_EQ(store.num_segments(), 7u);
+  for (size_t s = 0; s < 6; ++s) {
+    EXPECT_EQ(store.segment_num_rows(s), 100u);
+    EXPECT_EQ(store.segment_base_row(s), s * 100);
+  }
+  EXPECT_EQ(store.segment_num_rows(6), 67u);
+  auto last = store.Pin(6);
+  ASSERT_TRUE(last.ok());
+  // The last kept slot is 999; slot 998 was dropped.
+  EXPECT_EQ((*last)->code_at(66, 0), 999 % 3);
+  EXPECT_EQ((*last)->code_at(65, 0), 997 % 3);
+  ASSERT_TRUE(store.Unpin(6).ok());
+}
+
 TEST(SegmentStoreTest, SpillRoundTripIsBitwiseIdentical) {
   const Schema schema = TestSchema();
   SegmentStoreOptions options;
@@ -337,6 +368,20 @@ TEST(ReservoirSamplerTest, CapacityAtLeastStreamKeepsEveryRowInOrder) {
   }
   // k >= n: the reservoir is the whole stream in original order — the
   // property that makes the streaming audit reproduce the classic path.
+  ExpectTablesEqual(reference, sampler.BuildSampleTable(schema));
+}
+
+TEST(ReservoirSamplerTest, HugeCapacityHoldsOnlyTheRowsSeen) {
+  // Slots grow as rows arrive: a capacity far beyond memory reserves
+  // nothing up front, and a short stream is sampled whole.
+  const Schema schema = TestSchema();
+  ReservoirSampler sampler(size_t{1000000000000}, 5);
+  Table reference(schema);
+  for (size_t i = 0; i < 3; ++i) {
+    sampler.Offer(MakeRow(i));
+    reference.AppendRowUnchecked(MakeRow(i));
+  }
+  EXPECT_EQ(sampler.sample_size(), 3u);
   ExpectTablesEqual(reference, sampler.BuildSampleTable(schema));
 }
 

@@ -155,6 +155,7 @@ TEST_F(StreamAuditTest, ReportIsInvariantUnderMemoryBudget) {
   budgeted.store.spill_dir = TestPath("_spill");
   auto tight = RunStreamingAudit(table_.schema(), csv_path_, budgeted);
   ASSERT_TRUE(tight.ok());
+  EXPECT_GT(tight->store->num_segments(), 1u);
   EXPECT_GT(tight->store_stats.spill_writes, 0u);
   EXPECT_GT(tight->store_stats.spill_reads, 0u);
 
@@ -195,6 +196,10 @@ TEST_F(StreamAuditTest, SegmentParallelRankingIsThreadCountInvariant) {
   auto one = RunStreamingAudit(table_.schema(), csv_path_, serial);
   ASSERT_TRUE(one.ok());
   ASSERT_GT(one->suspicious.size(), 0u);
+  // Segments seal at exactly segment_rows: 2,500 rows make 9 segments, so
+  // every thread count below checks more than one window of segments and
+  // merges across them.
+  EXPECT_EQ(one->store->num_segments(), 9u);
   for (int threads : {2, 3, 8}) {
     StreamAuditOptions parallel = FullSampleOptions();
     parallel.auditor.num_threads = threads;

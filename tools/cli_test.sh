@@ -278,4 +278,30 @@ if [ -e "$WORK/race.csv.spill" ]; then
   exit 1
 fi
 
+# --- Compiled scoring: one ranking for every thread count ---
+# The polluted 20k table has nulls on split attributes (routed fractionally
+# down the compiled trees); its report is the same at 1 and 4 threads in
+# both split modes.
+for mode in histogram exact; do
+  for t in 1 4; do
+    "$DQAUDIT" --schema "$SPEC" --data "$WORK/d20k.csv" --min-conf 0.8 \
+      --top 1 --split-mode "$mode" --threads "$t" \
+      --report "$WORK/split_${mode}_t$t.csv" > /dev/null
+  done
+  cmp "$WORK/split_${mode}_t1.csv" "$WORK/split_${mode}_t4.csv"
+done
+
+# --- A sample capacity far beyond memory reserves nothing up front ---
+# Under a 2 GB address-space limit, set in the audit's own subshell, a
+# 3,000-row input is sampled whole instead of aborting on the reservation.
+# Sanitizer runtimes reserve more address space than that at start-up, so
+# their builds skip the case.
+if ! ldd "$DQAUDIT" 2> /dev/null | grep -qE 'lib[at]san'; then
+  ( ulimit -v 2000000 &&
+    "$DQAUDIT" --schema "$SPEC" --data "$WORK/dirty.csv" --min-conf 0.8 \
+      --top 1 --memory-budget 64K --sample-rows 1000000000 \
+      --spill-dir "$WORK/huge.spill" > "$WORK/huge.out" )
+  grep -qE "induced on [0-9]+ sampled records" "$WORK/huge.out"
+fi
+
 echo "cli round trip OK ($AUDIT_N suspicious records)"
