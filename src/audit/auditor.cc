@@ -248,7 +248,6 @@ void ScoreTree(const ScoringModel& m, const ColumnSpan* columns, size_t lo,
   for (size_t r = lo; r < hi; ++r) {
     const TableRecord record{columns, r};
     const int32_t hit = tree.Find(record);
-    if (hit == FlatTree::kNoMatch) continue;
     const int observed = ObservedClass(*m.encoder, record);
     if (hit >= 0) {
       const FlatTree::Leaf& leaf = tree.leaves[static_cast<size_t>(hit)];

@@ -2,13 +2,13 @@
 // (sec. 5, fig. 1 step 4).
 //
 // Deviation detection is one scoring engine (ScoreRecords) shared with the
-// persisted-model checker (StructureModel::Check). Models that come as
-// compiled flat trees (every induced C4.5 tree, every persisted rule set)
-// are walked over the table's typed columns, block by block with the
-// models outer and the rows inner, with no Row and no allocation per
-// record; a record whose walk meets a null on a split of an induced tree
-// takes C4.5's fractional-routing walk over the same arrays. Other
-// inducers (naive Bayes, kNN, OneR) are queried with one Row per record.
+// persisted-model checker (StructureModel::Check). Compiled C4.5 trees,
+// induced in process or loaded from a saved model, are walked over the
+// table's typed columns, block by block with the models outer and the rows
+// inner, with no Row and no allocation per record; a record whose walk
+// meets a null on a split takes C4.5's fractional-routing walk over the
+// same arrays. Other inducers (naive Bayes, kNN, OneR) are queried with
+// one Row per record.
 
 #ifndef DQ_AUDIT_AUDITOR_H_
 #define DQ_AUDIT_AUDITOR_H_

@@ -8,25 +8,6 @@
 
 namespace dq {
 
-bool StructureRule::Matches(const Row& row) const {
-  for (const SplitCondition& cond : conditions) {
-    const Value& v = row[static_cast<size_t>(cond.attr)];
-    if (v.is_null()) return false;
-    switch (cond.kind) {
-      case SplitCondition::Kind::kCategory:
-        if (!v.is_nominal() || v.nominal_code() != cond.category) return false;
-        break;
-      case SplitCondition::Kind::kLessEq:
-        if (v.is_nominal() || v.OrderedValue() > cond.threshold) return false;
-        break;
-      case SplitCondition::Kind::kGreater:
-        if (v.is_nominal() || v.OrderedValue() <= cond.threshold) return false;
-        break;
-    }
-  }
-  return true;
-}
-
 std::string StructureRule::ToString(const Schema& schema,
                                     const ClassEncoder& encoder) const {
   std::string out;
@@ -53,19 +34,21 @@ std::vector<StructureRule> ExtractRules(const AttributeModel& model,
   std::vector<StructureRule> rules;
   const auto* tree = dynamic_cast<const C45Tree*>(model.classifier.get());
   if (tree == nullptr) return rules;
-  tree->VisitPaths([&](const std::vector<SplitCondition>& conditions,
-                       const LeafInfo& leaf) {
-    if (leaf.weight <= 0.0 || leaf.majority < 0) return;
+  const FlatTree& flat = tree->flat();
+  flat.VisitPaths([&](const std::vector<SplitCondition>& conditions,
+                      int32_t i) {
+    const FlatTree::Leaf& leaf = flat.leaves[static_cast<size_t>(i)];
+    if (leaf.weight <= 0.0) return;
     if (drop_useless && leaf.expected_error_confidence <= 0.0) return;
+    const double* counts = flat.class_counts(i);
     StructureRule rule;
     rule.class_attr = model.class_attr;
     rule.conditions = conditions;
     rule.majority_class = leaf.majority;
     rule.support = leaf.weight;
-    rule.purity =
-        leaf.class_counts[static_cast<size_t>(leaf.majority)] / leaf.weight;
+    rule.purity = counts[leaf.majority] / leaf.weight;
     rule.expected_error_confidence = leaf.expected_error_confidence;
-    rule.class_counts = leaf.class_counts;
+    rule.class_counts.assign(counts, counts + flat.num_classes);
     rules.push_back(std::move(rule));
   });
   return rules;

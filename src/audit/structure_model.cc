@@ -1,6 +1,5 @@
 #include "audit/structure_model.h"
 
-#include <algorithm>
 #include <charconv>
 #include <climits>
 #include <cmath>
@@ -26,10 +25,6 @@ std::string FullPrecision(double v) {
   return buf;
 }
 
-std::string AttrName(const Schema& schema, int attr) {
-  return "'" + schema.attribute(static_cast<size_t>(attr)).name + "'";
-}
-
 std::vector<DataType> AttributeTypes(const Schema& schema) {
   std::vector<DataType> types;
   for (size_t a = 0; a < schema.num_attributes(); ++a) {
@@ -38,161 +33,30 @@ std::vector<DataType> AttributeTypes(const Schema& schema) {
   return types;
 }
 
-/// The empty tree an attribute's rules are inserted into.
-FlatTree RuleTree(const ClassEncoder& encoder) {
-  FlatTree tree;
-  tree.nodes.emplace_back();
-  tree.num_classes = encoder.num_classes();
-  return tree;
-}
-
-/// Adds `set.rules[index]` to `tree` as one root-to-leaf path ending in
-/// leaf `index`. Fails when a condition is outside the schema or the rules
-/// stop forming one tree.
-Status InsertRule(const Schema& schema, const AttributeRuleSet& set,
-                  size_t index, FlatTree* tree) {
-  using Kind = SplitCondition::Kind;
-  using NodeKind = FlatTree::Node::Kind;
-  std::vector<FlatTree::Node>& nodes = tree->nodes;
-  std::vector<int32_t>& children = tree->children;
-  const StructureRule& rule = set.rules[index];
-  size_t node = 0;
-  for (size_t depth = 0; depth < rule.conditions.size(); ++depth) {
-    const SplitCondition& cond = rule.conditions[depth];
-    if (cond.attr < 0 ||
-        static_cast<size_t>(cond.attr) >= schema.num_attributes()) {
-      return Status::InvalidArgument("condition attribute " +
-                                     std::to_string(cond.attr) +
-                                     " out of range");
-    }
-    const AttributeDef& def = schema.attribute(static_cast<size_t>(cond.attr));
-    const bool nominal = def.type == DataType::kNominal;
-    const auto num_categories = static_cast<int32_t>(def.categories.size());
-    if (cond.kind == Kind::kCategory) {
-      if (!nominal) {
-        return Status::InvalidArgument("category condition on ordered "
-                                       "attribute " +
-                                       AttrName(schema, cond.attr));
-      }
-      if (cond.category < 0 || cond.category >= num_categories) {
-        return Status::InvalidArgument(
-            "category " + std::to_string(cond.category) +
-            " outside the domain of " + AttrName(schema, cond.attr));
-      }
-    } else {
-      if (nominal) {
-        return Status::InvalidArgument("threshold condition on nominal "
-                                       "attribute " +
-                                       AttrName(schema, cond.attr));
-      }
-      if (std::isnan(cond.threshold)) {
-        return Status::InvalidArgument("NaN threshold");
-      }
-    }
-
-    const NodeKind split =
-        cond.kind == Kind::kCategory ? NodeKind::kCategory : NodeKind::kOrdered;
-    FlatTree::Node& at = nodes[node];
-    if (at.kind == NodeKind::kEmpty) {
-      const int32_t width = split == NodeKind::kCategory ? num_categories : 2;
-      if (children.size() + static_cast<size_t>(width) >
-          static_cast<size_t>(INT32_MAX)) {
-        return Status::InvalidArgument("too many category splits");
-      }
-      at.kind = split;
-      at.attr = cond.attr;
-      at.threshold = cond.threshold;
-      at.index = static_cast<int32_t>(children.size());
-      at.num_children = width;
-      children.resize(children.size() + static_cast<size_t>(width),
-                      FlatTree::kNoMatch);
-    } else if (at.kind == NodeKind::kLeaf) {
-      return Status::InvalidArgument(
-          "not a decision tree: condition " + std::to_string(depth + 1) +
-          " extends a path an earlier rule already ends at");
-    } else if (at.kind != split || at.attr != cond.attr ||
-               (split == NodeKind::kOrdered &&
-                at.threshold != cond.threshold)) {
-      return Status::InvalidArgument(
-          "not a decision tree: condition " + std::to_string(depth + 1) +
-          " splits differently from an earlier rule with the same prefix");
-    }
-
-    const int32_t branch = cond.kind == Kind::kCategory ? cond.category
-                           : cond.kind == Kind::kLessEq ? 0
-                                                        : 1;
-    int32_t& slot = children[static_cast<size_t>(at.index + branch)];
-    if (slot < 0) {
-      if (nodes.size() >= static_cast<size_t>(INT32_MAX)) {
-        return Status::InvalidArgument("too many tree nodes");
-      }
-      slot = static_cast<int32_t>(nodes.size());
-      nodes.emplace_back();  // invalidates at
-    }
-    node = static_cast<size_t>(slot);
-  }
-
-  FlatTree::Node& leaf = nodes[node];
-  if (leaf.kind == NodeKind::kLeaf) {
-    return Status::InvalidArgument(
-        "not a decision tree: duplicate leaf (an earlier rule has the same "
-        "conditions)");
-  }
-  if (leaf.kind != NodeKind::kEmpty) {
-    return Status::InvalidArgument(
-        "not a decision tree: rule ends at an inner node of earlier rules");
-  }
-  leaf.kind = NodeKind::kLeaf;
-  leaf.index = static_cast<int32_t>(index);
-
-  // What the checker reports for a match, computed once per rule the way
-  // the rule scan computed it per record: the support-normalized counts.
-  const auto num_classes = static_cast<size_t>(tree->num_classes);
-  tree->leaves.resize(index + 1);
-  tree->distributions.resize((index + 1) * num_classes, 0.0);
-  FlatTree::Leaf& entry = tree->leaves[index];
-  double* dist = tree->distributions.data() + index * num_classes;
-  if (rule.support > 0.0) {
-    entry.support = rule.support;
-    for (size_t c = 0; c < num_classes; ++c) {
-      dist[c] = rule.class_counts[c] / rule.support;
-    }
-    entry.predicted = PredictedClassOf(dist, num_classes);
-  }
-  entry.suggestion = set.encoder.Representative(rule.majority_class);
-  return Status::OK();
-}
-
 }  // namespace
 
 StructureModel StructureModel::FromAuditModel(const AuditModel& model,
-                                              const Schema& schema,
-                                              bool drop_useless) {
+                                              const Schema& schema) {
   StructureModel out;
   out.attr_types_ = AttributeTypes(schema);
   for (const AttributeModel& am : model.models()) {
-    AttributeRuleSet set;
-    set.class_attr = am.class_attr;
-    set.encoder = am.encoder;
-    set.rules = ExtractRules(am, drop_useless);
-    if (set.rules.empty()) continue;
-    FlatTree tree = RuleTree(set.encoder);
-    for (size_t i = 0; i < set.rules.size(); ++i) {
-      // C4.5 paths over the schema the tree was induced on always form
-      // one tree; a failure here is a bug in rule extraction.
-      const Status inserted = InsertRule(schema, set, i, &tree);
-      DQ_DCHECK(inserted.ok());
-      (void)inserted;
-    }
-    out.rule_sets_.push_back(std::move(set));
-    out.trees_.push_back(std::move(tree));
+    const auto* tree = dynamic_cast<const C45Tree*>(am.classifier.get());
+    if (tree == nullptr || tree->flat().nodes.empty()) continue;
+    out.trees_.push_back({am.class_attr, am.encoder, tree->flat()});
   }
   return out;
 }
 
 size_t StructureModel::TotalRules() const {
   size_t n = 0;
-  for (const AttributeRuleSet& set : rule_sets_) n += set.rules.size();
+  for (const AttributeTree& at : trees_) {
+    for (const FlatTree::Node& node : at.tree.nodes) {
+      if (node.kind == FlatTree::Node::Kind::kLeaf &&
+          at.tree.leaves[static_cast<size_t>(node.index)].weight > 0.0) {
+        ++n;
+      }
+    }
+  }
   return n;
 }
 
@@ -203,9 +67,8 @@ Result<AuditReport> StructureModel::Check(const Table& data,
         "table schema does not match the structure model's schema");
   }
   std::vector<ScoringModel> models;
-  for (size_t s = 0; s < trees_.size(); ++s) {
-    models.push_back({rule_sets_[s].class_attr, &rule_sets_[s].encoder,
-                      &trees_[s], nullptr});
+  for (const AttributeTree& at : trees_) {
+    models.push_back({at.class_attr, &at.encoder, &at.tree, nullptr});
   }
   AuditReport report = ScoreRecords(models, data, config);
   RankSuspicions(data, config.min_error_confidence, &report);
@@ -216,11 +79,12 @@ Result<AuditReport> StructureModel::Check(const Table& data,
 // Serialization
 
 Status StructureModel::SerializeTo(std::ostream* out) const {
-  *out << "dqmodel v1\n";
-  for (const AttributeRuleSet& set : rule_sets_) {
-    *out << "attrset " << set.class_attr;
-    if (set.encoder.is_discretized()) {
-      const auto& disc = *set.encoder.discretizer();
+  using Kind = FlatTree::Node::Kind;
+  *out << "dqmodel v2\n";
+  for (const AttributeTree& at : trees_) {
+    *out << "attrset " << at.class_attr;
+    if (at.encoder.is_discretized()) {
+      const auto& disc = *at.encoder.discretizer();
       *out << " discretized " << disc.cut_points().size();
       for (double c : disc.cut_points()) *out << ' ' << FullPrecision(c);
       *out << ' ' << disc.num_bins();
@@ -231,28 +95,38 @@ Status StructureModel::SerializeTo(std::ostream* out) const {
     } else {
       *out << " nominal\n";
     }
-    for (const StructureRule& rule : set.rules) {
-      *out << "rule " << rule.majority_class << ' '
-           << FullPrecision(rule.support) << ' ' << FullPrecision(rule.purity)
-           << ' ' << FullPrecision(rule.expected_error_confidence)
-           << " counts " << rule.class_counts.size();
-      for (double c : rule.class_counts) *out << ' ' << FullPrecision(c);
-      *out << " conds " << rule.conditions.size() << '\n';
-      for (const SplitCondition& cond : rule.conditions) {
-        *out << "cond " << cond.attr << ' ';
-        switch (cond.kind) {
-          case SplitCondition::Kind::kCategory:
-            *out << "cat " << cond.category;
-            break;
-          case SplitCondition::Kind::kLessEq:
-            *out << "le " << FullPrecision(cond.threshold);
-            break;
-          case SplitCondition::Kind::kGreater:
-            *out << "gt " << FullPrecision(cond.threshold);
-            break;
-        }
-        *out << '\n';
+    const FlatTree& tree = at.tree;
+    *out << "tree " << tree.nodes.size() << ' ' << tree.leaves.size() << '\n';
+    for (size_t i = 0; i < tree.nodes.size(); ++i) {
+      const FlatTree::Node& node = tree.nodes[i];
+      if (node.kind == Kind::kLeaf) {
+        *out << "node leaf " << node.index << '\n';
+        continue;
       }
+      *out << "node ";
+      if (node.kind == Kind::kOrdered) {
+        *out << "le " << node.attr << ' ' << FullPrecision(node.threshold);
+      } else {
+        *out << "cat " << node.attr << ' ' << node.num_children;
+      }
+      *out << ' ' << FullPrecision(tree.known_weight[i]);
+      for (int32_t b = 0; b < node.num_children; ++b) {
+        const auto slot = static_cast<size_t>(node.index + b);
+        *out << ' ' << FullPrecision(tree.child_weight[slot]) << ' '
+             << tree.children[slot];
+      }
+      *out << '\n';
+    }
+    for (size_t i = 0; i < tree.leaves.size(); ++i) {
+      const FlatTree::Leaf& leaf = tree.leaves[i];
+      *out << "leaf " << leaf.majority << ' ' << FullPrecision(leaf.weight)
+           << ' ' << FullPrecision(leaf.expected_error_confidence) << ' '
+           << tree.num_classes;
+      const double* counts = tree.class_counts(static_cast<int32_t>(i));
+      for (int c = 0; c < tree.num_classes; ++c) {
+        *out << ' ' << FullPrecision(counts[c]);
+      }
+      *out << '\n';
     }
   }
   *out << "end\n";
@@ -272,10 +146,6 @@ Status ModelParseError(size_t line_no, const std::string& what) {
   return Status::IOError("dqmodel parse error at line " +
                          std::to_string(line_no) + ": " + what);
 }
-
-/// The shortest possible condition line, "cond 0 le 0\n": a rule cannot
-/// announce more conditions than the remaining bytes could hold.
-constexpr size_t kMinCondLineBytes = 12;
 
 /// Non-blank lines of an in-memory model, numbered from 1; a trailing CR
 /// is dropped.
@@ -381,6 +251,185 @@ Result<std::string> ReadAll(std::istream* in, uintmax_t size_hint) {
   return text;
 }
 
+/// The shortest node and leaf lines, "node leaf 0\n" and "leaf 0 0 0 1 0\n":
+/// a tree cannot announce more of them than the remaining bytes could hold.
+constexpr size_t kMinNodeLineBytes = 12;
+constexpr size_t kMinLeafLineBytes = 15;
+
+/// Deepest tree the reader accepts. Induction stops at
+/// C45Config::max_depth (40 by default); the bound keeps the recursive
+/// fork walk of a crafted file off the end of the stack.
+constexpr size_t kMaxTreeDepth = 4096;
+
+bool NonNegative(double v) { return v >= 0.0; }
+
+/// Reads one attribute's `tree` block (the cursor is on its attrset line)
+/// into `tree`, whose num_classes is set.
+Status ParseTree(const Schema& schema, const ClassEncoder& encoder,
+                 LineCursor* lines, FlatTree* tree) {
+  using Kind = FlatTree::Node::Kind;
+  if (!lines->Next()) return ModelParseError(lines->line_no(), "missing tree");
+  size_t num_nodes = 0;
+  size_t num_leaves = 0;
+  {
+    Tokens tok(lines->line());
+    std::string_view tag;
+    if (!tok.Word(&tag) || tag != "tree" || !tok.Number(&num_nodes) ||
+        !tok.Number(&num_leaves) || !tok.Done()) {
+      return ModelParseError(lines->line_no(), "malformed tree line");
+    }
+  }
+  if (num_nodes == 0) return ModelParseError(lines->line_no(), "empty tree");
+  const size_t remaining = lines->remaining();
+  if (num_nodes > static_cast<size_t>(INT32_MAX) ||
+      num_leaves > static_cast<size_t>(INT32_MAX) ||
+      num_nodes > remaining / kMinNodeLineBytes ||
+      num_leaves > (remaining - num_nodes * kMinNodeLineBytes) /
+                       kMinLeafLineBytes) {
+    return ModelParseError(lines->line_no(),
+                           "node or leaf count exceeds the remaining input");
+  }
+  tree->nodes.resize(num_nodes);
+  tree->known_weight.assign(num_nodes, 0.0);
+  // Each node but the root has exactly one parent that precedes it: the
+  // nodes form one tree, with no cycle, and its depth is known per node.
+  std::vector<size_t> depth(num_nodes, 0);
+  std::vector<bool> has_parent(num_nodes, false);
+  for (size_t i = 0; i < num_nodes; ++i) {
+    if (!lines->Next()) {
+      return ModelParseError(lines->line_no(), "truncated tree");
+    }
+    const size_t line_no = lines->line_no();
+    Tokens tok(lines->line());
+    std::string_view tag;
+    std::string_view kind;
+    if (!tok.Word(&tag) || tag != "node" || !tok.Word(&kind)) {
+      return ModelParseError(line_no, "malformed node");
+    }
+    FlatTree::Node& node = tree->nodes[i];
+    if (kind == "leaf") {
+      if (!tok.Number(&node.index) || !tok.Done()) {
+        return ModelParseError(line_no, "malformed leaf node");
+      }
+      if (node.index < 0 || static_cast<size_t>(node.index) >= num_leaves) {
+        return ModelParseError(line_no, "leaf index out of range");
+      }
+      continue;
+    }
+    if (kind != "le" && kind != "cat") {
+      return ModelParseError(line_no,
+                             "unknown node kind '" + std::string(kind) + "'");
+    }
+    if (!tok.Number(&node.attr) || node.attr < 0 ||
+        static_cast<size_t>(node.attr) >= schema.num_attributes()) {
+      return ModelParseError(line_no, "split attribute out of range");
+    }
+    const AttributeDef& def = schema.attribute(static_cast<size_t>(node.attr));
+    const bool nominal = def.type == DataType::kNominal;
+    if (kind == "le") {
+      if (nominal) {
+        return ModelParseError(line_no, "threshold split on nominal "
+                                        "attribute '" + def.name + "'");
+      }
+      node.kind = Kind::kOrdered;
+      node.num_children = 2;
+      if (!tok.Number(&node.threshold)) {
+        return ModelParseError(line_no, "malformed threshold");
+      }
+    } else {
+      if (!nominal) {
+        return ModelParseError(line_no, "category split on ordered "
+                                        "attribute '" + def.name + "'");
+      }
+      node.kind = Kind::kCategory;
+      if (!tok.Number(&node.num_children) || node.num_children <= 0 ||
+          static_cast<size_t>(node.num_children) != def.categories.size()) {
+        return ModelParseError(line_no, "category split arity differs from "
+                                        "the domain of '" + def.name + "'");
+      }
+    }
+    if (!tok.Number(&tree->known_weight[i]) ||
+        !NonNegative(tree->known_weight[i])) {
+      return ModelParseError(line_no, "malformed known weight");
+    }
+    node.index = static_cast<int32_t>(tree->children.size());
+    for (int32_t b = 0; b < node.num_children; ++b) {
+      double weight = 0.0;
+      size_t child = 0;
+      if (!tok.Number(&weight) || !NonNegative(weight) ||
+          !tok.Number(&child)) {
+        return ModelParseError(line_no, "malformed branch");
+      }
+      if (child <= i || child >= num_nodes) {
+        return ModelParseError(line_no, "child index " +
+                                            std::to_string(child) +
+                                            " does not follow its parent "
+                                            "inside the tree");
+      }
+      if (has_parent[child]) {
+        return ModelParseError(line_no, "node " + std::to_string(child) +
+                                            " has two parents");
+      }
+      has_parent[child] = true;
+      depth[child] = depth[i] + 1;
+      if (depth[child] >= kMaxTreeDepth) {
+        return ModelParseError(line_no, "tree deeper than " +
+                                            std::to_string(kMaxTreeDepth) +
+                                            " levels");
+      }
+      tree->child_weight.push_back(weight);
+      tree->children.push_back(static_cast<int32_t>(child));
+    }
+    if (!tok.Done()) return ModelParseError(line_no, "trailing data");
+  }
+  for (size_t i = 1; i < num_nodes; ++i) {
+    if (!has_parent[i]) {
+      return ModelParseError(lines->line_no(),
+                             "node " + std::to_string(i) + " is unreachable");
+    }
+  }
+
+  const int num_classes = tree->num_classes;
+  std::vector<double> counts;
+  for (size_t i = 0; i < num_leaves; ++i) {
+    if (!lines->Next()) {
+      return ModelParseError(lines->line_no(), "truncated leaf table");
+    }
+    const size_t line_no = lines->line_no();
+    Tokens tok(lines->line());
+    std::string_view tag;
+    int32_t majority = -1;
+    double weight = 0.0;
+    double expected_error_confidence = 0.0;
+    if (!tok.Word(&tag) || tag != "leaf" || !tok.Number(&majority) ||
+        !tok.Number(&weight) || !tok.Number(&expected_error_confidence) ||
+        !tok.CountedDoubles(&counts) || !tok.Done()) {
+      return ModelParseError(line_no, "malformed leaf");
+    }
+    if (counts.size() != static_cast<size_t>(num_classes)) {
+      return ModelParseError(line_no, "class count arity mismatch");
+    }
+    if (majority < 0 || majority >= num_classes) {
+      return ModelParseError(line_no, "majority class out of range");
+    }
+    if (!NonNegative(weight) || !NonNegative(expected_error_confidence)) {
+      return ModelParseError(line_no, "negative leaf weight");
+    }
+    for (double c : counts) {
+      if (!NonNegative(c)) {
+        return ModelParseError(line_no, "negative class count");
+      }
+    }
+    const int32_t leaf = tree->AppendLeaf(counts.data(), weight, majority,
+                                          expected_error_confidence);
+    FlatTree::Leaf& entry = tree->leaves[static_cast<size_t>(leaf)];
+    if (entry.predicted >= 0) {
+      entry.suggestion = encoder.Representative(entry.predicted);
+    }
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 Result<StructureModel> StructureModel::Parse(const Schema& schema,
@@ -388,8 +437,18 @@ Result<StructureModel> StructureModel::Parse(const Schema& schema,
   StructureModel model;
   model.attr_types_ = AttributeTypes(schema);
   LineCursor lines(text);
-  if (!lines.Next() || lines.line() != "dqmodel v1") {
-    return ModelParseError(lines.line_no(), "missing 'dqmodel v1' header");
+  if (!lines.Next()) {
+    return ModelParseError(lines.line_no(), "missing 'dqmodel v2' header");
+  }
+  if (lines.line() == "dqmodel v1") {
+    return ModelParseError(
+        lines.line_no(),
+        "dqmodel v1 is no longer read: it stores no branch weights, so it "
+        "cannot route nulls as the induced trees do; re-save the model "
+        "with dqaudit --save-model");
+  }
+  if (lines.line() != "dqmodel v2") {
+    return ModelParseError(lines.line_no(), "missing 'dqmodel v2' header");
   }
 
   while (lines.Next()) {
@@ -401,112 +460,43 @@ Result<StructureModel> StructureModel::Parse(const Schema& schema,
       if (!tok.Done()) return ModelParseError(line_no, "trailing data");
       return model;
     }
-    if (tag == "attrset") {
-      int attr = -1;
-      std::string_view kind;
-      if (!tok.Number(&attr) || !tok.Word(&kind)) {
-        return ModelParseError(line_no, "malformed attrset");
-      }
-      std::optional<EqualFrequencyDiscretizer> disc;
-      if (kind == "discretized") {
-        std::vector<double> cuts;
-        std::vector<double> reps;
-        if (!tok.CountedDoubles(&cuts) || !tok.CountedDoubles(&reps)) {
-          return ModelParseError(line_no, "malformed discretizer");
-        }
-        auto built = EqualFrequencyDiscretizer::FromParts(std::move(cuts),
-                                                          std::move(reps));
-        if (!built.ok()) {
-          return ModelParseError(line_no, built.status().message());
-        }
-        disc = std::move(*built);
-      } else if (kind != "nominal") {
-        return ModelParseError(line_no,
-                               "unknown encoder kind '" + std::string(kind) +
-                                   "'");
-      }
-      if (!tok.Done()) return ModelParseError(line_no, "trailing data");
-      auto encoder = ClassEncoder::FromParts(schema, attr, std::move(disc));
-      if (!encoder.ok()) {
-        return ModelParseError(line_no, encoder.status().message());
-      }
-      AttributeRuleSet set;
-      set.class_attr = attr;
-      set.encoder = std::move(*encoder);
-      model.rule_sets_.push_back(std::move(set));
-      model.trees_.push_back(RuleTree(model.rule_sets_.back().encoder));
-      continue;
-    }
-    if (tag != "rule") {
+    if (tag != "attrset") {
       return ModelParseError(line_no,
                              "unknown tag '" + std::string(tag) + "'");
     }
-
-    if (model.rule_sets_.empty()) {
-      return ModelParseError(line_no, "rule before attrset");
+    int attr = -1;
+    std::string_view kind;
+    if (!tok.Number(&attr) || !tok.Word(&kind)) {
+      return ModelParseError(line_no, "malformed attrset");
     }
-    AttributeRuleSet& set = model.rule_sets_.back();
-    StructureRule rule;
-    rule.class_attr = set.class_attr;
-    std::string_view counts_tag;
-    if (!tok.Number(&rule.majority_class) || !tok.Number(&rule.support) ||
-        !tok.Number(&rule.purity) ||
-        !tok.Number(&rule.expected_error_confidence) ||
-        !tok.Word(&counts_tag) || counts_tag != "counts" ||
-        !tok.CountedDoubles(&rule.class_counts)) {
-      return ModelParseError(line_no, "malformed rule");
-    }
-    std::string_view conds_tag;
-    size_t nconds = 0;
-    if (!tok.Word(&conds_tag) || conds_tag != "conds" ||
-        !tok.Number(&nconds) || !tok.Done()) {
-      return ModelParseError(line_no, "malformed rule conditions count");
-    }
-    const int num_classes = set.encoder.num_classes();
-    if (rule.class_counts.size() != static_cast<size_t>(num_classes)) {
-      return ModelParseError(line_no, "class count arity mismatch");
-    }
-    if (rule.majority_class < 0 || rule.majority_class >= num_classes) {
-      return ModelParseError(line_no, "majority class out of range");
-    }
-    if (nconds > lines.remaining() / kMinCondLineBytes) {
+    std::optional<EqualFrequencyDiscretizer> disc;
+    if (kind == "discretized") {
+      std::vector<double> cuts;
+      std::vector<double> reps;
+      if (!tok.CountedDoubles(&cuts) || !tok.CountedDoubles(&reps)) {
+        return ModelParseError(line_no, "malformed discretizer");
+      }
+      auto built = EqualFrequencyDiscretizer::FromParts(std::move(cuts),
+                                                        std::move(reps));
+      if (!built.ok()) {
+        return ModelParseError(line_no, built.status().message());
+      }
+      disc = std::move(*built);
+    } else if (kind != "nominal") {
       return ModelParseError(line_no,
-                             "condition count exceeds the remaining input");
+                             "unknown encoder kind '" + std::string(kind) +
+                                 "'");
     }
-    rule.conditions.reserve(nconds);
-    for (size_t i = 0; i < nconds; ++i) {
-      if (!lines.Next()) {
-        return ModelParseError(lines.line_no(), "truncated conditions");
-      }
-      Tokens cs(lines.line());
-      std::string_view cond_tag;
-      std::string_view op;
-      SplitCondition cond;
-      if (!cs.Word(&cond_tag) || cond_tag != "cond" ||
-          !cs.Number(&cond.attr) || !cs.Word(&op)) {
-        return ModelParseError(lines.line_no(), "malformed cond");
-      }
-      bool operand = false;
-      if (op == "cat") {
-        cond.kind = SplitCondition::Kind::kCategory;
-        operand = cs.Number(&cond.category);
-      } else if (op == "le" || op == "gt") {
-        cond.kind = op == "le" ? SplitCondition::Kind::kLessEq
-                               : SplitCondition::Kind::kGreater;
-        operand = cs.Number(&cond.threshold);
-      } else {
-        return ModelParseError(lines.line_no(),
-                               "unknown cond op '" + std::string(op) + "'");
-      }
-      if (!operand || !cs.Done()) {
-        return ModelParseError(lines.line_no(), "malformed cond operand");
-      }
-      rule.conditions.push_back(cond);
+    if (!tok.Done()) return ModelParseError(line_no, "trailing data");
+    auto encoder = ClassEncoder::FromParts(schema, attr, std::move(disc));
+    if (!encoder.ok()) {
+      return ModelParseError(line_no, encoder.status().message());
     }
-    set.rules.push_back(std::move(rule));
-    Status inserted = InsertRule(schema, set, set.rules.size() - 1,
-                                 &model.trees_.back());
-    if (!inserted.ok()) return ModelParseError(line_no, inserted.message());
+    AttributeTree& at = model.trees_.emplace_back();
+    at.class_attr = attr;
+    at.encoder = std::move(*encoder);
+    at.tree.num_classes = at.encoder.num_classes();
+    DQ_RETURN_NOT_OK(ParseTree(schema, at.encoder, &lines, &at.tree));
   }
   return ModelParseError(lines.line_no(), "missing 'end'");
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <functional>
 #include <optional>
 
 #include "common/parallel.h"
@@ -167,6 +168,13 @@ constexpr double kEps = 1e-9;
 // Induction
 
 Status C45Tree::Train(const TrainingData& data) {
+  DQ_ASSIGN_OR_RETURN(std::unique_ptr<Node> root, InduceTree(data));
+  Compile(*root);
+  return Status::OK();
+}
+
+Result<std::unique_ptr<C45Tree::Node>> C45Tree::InduceTree(
+    const TrainingData& data) {
   DQ_RETURN_NOT_OK(data.Check());
   table_ = data.table;
   class_attr_ = data.class_attr;
@@ -272,15 +280,13 @@ Status C45Tree::Train(const TrainingData& data) {
   std::vector<bool> avail(schema.num_attributes(), false);
   for (int a : data.base_attrs) avail[static_cast<size_t>(a)] = true;
 
-  {
-    obs::Span span("c45.build", class_attr_, &build_ms_);
-    root_ = Build(&ctx, std::move(root_data), std::move(avail), 0);
-    if (config_.pruning == PruningMode::kPessimistic) {
-      PrunePessimistic(root_.get());
-    }
+  obs::Span span("c45.build", class_attr_, &build_ms_);
+  std::unique_ptr<Node> root =
+      Build(&ctx, std::move(root_data), std::move(avail), 0);
+  if (config_.pruning == PruningMode::kPessimistic) {
+    PrunePessimistic(root.get());
   }
-  Compile();
-  return Status::OK();
+  return root;
 }
 
 std::unique_ptr<C45Tree::Node> C45Tree::Build(BuildContext* ctx, NodeData data,
@@ -1347,9 +1353,9 @@ struct C45HistogramBuilder {
       obs::GetCounter("c45.splits_evaluated");
 };
 
-Status C45Tree::TrainHistogram(const TrainingData& data,
-                               const EncodedDataset& cache, BuildContext* ctx,
-                               std::vector<std::pair<uint32_t, double>> insts) {
+std::unique_ptr<C45Tree::Node> C45Tree::TrainHistogram(
+    const TrainingData& data, const EncodedDataset& cache, BuildContext* ctx,
+    std::vector<std::pair<uint32_t, double>> insts) {
   const Schema& schema = table_->schema();
   const size_t num_rows = table_->num_rows();
 
@@ -1361,24 +1367,21 @@ Status C45Tree::TrainHistogram(const TrainingData& data,
     if (ctx->ordered_cols[attr] != nullptr) bins[attr] = cache.bins(attr);
   }
 
-  {
-    obs::Span span("c45.build", class_attr_, &build_ms_);
-    std::vector<bool> avail(schema.num_attributes(), false);
-    for (int a : data.base_attrs) avail[static_cast<size_t>(a)] = true;
-    C45HistogramBuilder builder(config_, schema, *ctx, bins,
-                                data.num_threads, num_rows);
-    root_ = builder.Run(std::move(insts), std::move(avail));
-    // The recursive path aggregates Def. 9 values (and prunes, in
-    // kExpectedErrorConfidence mode) bottom-up during construction; the
-    // frontier build defers that to one post-order pass, which yields the
-    // identical tree because construction is pure top-down.
-    PruneExpectedErrorConf(root_.get());
-    if (config_.pruning == PruningMode::kPessimistic) {
-      PrunePessimistic(root_.get());
-    }
+  obs::Span span("c45.build", class_attr_, &build_ms_);
+  std::vector<bool> avail(schema.num_attributes(), false);
+  for (int a : data.base_attrs) avail[static_cast<size_t>(a)] = true;
+  C45HistogramBuilder builder(config_, schema, *ctx, bins, data.num_threads,
+                              num_rows);
+  std::unique_ptr<Node> root = builder.Run(std::move(insts), std::move(avail));
+  // The recursive path aggregates Def. 9 values (and prunes, in
+  // kExpectedErrorConfidence mode) bottom-up during construction; the
+  // frontier build defers that to one post-order pass, which yields the
+  // identical tree because construction is pure top-down.
+  PruneExpectedErrorConf(root.get());
+  if (config_.pruning == PruningMode::kPessimistic) {
+    PrunePessimistic(root.get());
   }
-  Compile();
-  return Status::OK();
+  return root;
 }
 
 void C45Tree::PruneExpectedErrorConf(Node* node) {
@@ -1444,35 +1447,34 @@ void C45Tree::PrunePessimistic(Node* node) {
 // ---------------------------------------------------------------------------
 // Classification
 
-void C45Tree::Compile() {
-  obs::GetCounter("c45.tree_nodes")->Add(NodeCount());
+void C45Tree::Compile(const Node& root) {
   flat_ = FlatTree();
   flat_.num_classes = num_classes_;
-  std::vector<int32_t> empty_leaves(static_cast<size_t>(num_classes_),
-                                    FlatTree::kNoMatch);
-  CompileNode(*root_, &empty_leaves);
+  std::vector<int32_t> empty_leaves(static_cast<size_t>(num_classes_), -1);
+  CompileNode(root, &empty_leaves);
+  obs::GetCounter("c45.tree_nodes")->Add(NodeCount());
 }
 
 int32_t C45Tree::CompileNode(const Node& node,
                              std::vector<int32_t>* empty_leaves) {
-  // An empty leaf scores as nothing but its majority class (Accumulate reads
-  // neither its counts nor its weight), so one node per majority serves
-  // every empty branch of the tree.
-  const bool empty = node.IsLeaf() && node.weight <= kEps;
-  int32_t& shared = (*empty_leaves)[static_cast<size_t>(node.majority)];
-  if (empty && shared >= 0) return shared;
   const auto at = static_cast<int32_t>(flat_.nodes.size());
-  if (empty) shared = at;
   flat_.nodes.emplace_back();
-  flat_.known_weight.push_back(node.known_weight);
+  flat_.known_weight.push_back(node.IsLeaf() ? 0.0 : node.known_weight);
   if (node.IsLeaf()) {
-    const int32_t leaf =
-        flat_.AppendLeaf(node.class_counts.data(), node.weight, node.majority);
-    FlatTree::Leaf& entry = flat_.leaves.back();
-    if (entry.predicted >= 0) {
-      entry.suggestion = encoder_->Representative(entry.predicted);
+    // An empty leaf scores as nothing but its majority class (Accumulate
+    // reads neither its counts nor its weight), so the empty leaves of one
+    // majority share a leaf entry.
+    int32_t& shared = (*empty_leaves)[static_cast<size_t>(node.majority)];
+    int32_t leaf = node.weight == 0.0 ? shared : -1;
+    if (leaf < 0) {
+      leaf = flat_.AppendLeaf(node.class_counts.data(), node.weight,
+                              node.majority, node.expected_error_conf);
+      FlatTree::Leaf& entry = flat_.leaves.back();
+      if (entry.predicted >= 0) {
+        entry.suggestion = encoder_->Representative(entry.predicted);
+      }
+      if (node.weight == 0.0) shared = leaf;
     }
-    flat_.nodes[static_cast<size_t>(at)].kind = FlatTree::Node::Kind::kLeaf;
     flat_.nodes[static_cast<size_t>(at)].index = leaf;
     return at;
   }
@@ -1493,18 +1495,13 @@ int32_t C45Tree::CompileNode(const Node& node,
   split.index = first;
   split.num_children = static_cast<int32_t>(num_children);
   split.threshold = node.threshold;
-  // A category the training data never showed takes the first branch; a
-  // null is spread over the branches by training fractions, or takes the
-  // first branch when no training value was known.
-  split.on_unseen = 0;
-  split.on_null = node.known_weight <= kEps ? 0 : FlatTree::kFork;
   return at;
 }
 
 Prediction C45Tree::Predict(const Row& row) const {
   Prediction out;
   out.distribution.assign(static_cast<size_t>(num_classes_), 0.0);
-  if (root_ == nullptr) return out;
+  if (flat_.nodes.empty()) return out;
   out.support = flat_.Distribute(RowRecord{&row}, out.distribution.data());
   return out;
 }
@@ -1512,94 +1509,56 @@ Prediction C45Tree::Predict(const Row& row) const {
 // ---------------------------------------------------------------------------
 // Introspection
 
-namespace {
-
-template <typename NodeT>
-void CountNodes(const NodeT& node, size_t depth, size_t* nodes, size_t* leaves,
-                size_t* max_depth) {
-  ++*nodes;
-  *max_depth = std::max(*max_depth, depth);
-  if (node.IsLeaf()) {
-    ++*leaves;
-    return;
-  }
-  for (const auto& child : node.children) {
-    CountNodes(*child, depth + 1, nodes, leaves, max_depth);
-  }
-}
-
-}  // namespace
-
 size_t C45Tree::NodeCount() const { return Shape()[0]; }
 size_t C45Tree::LeafCount() const { return Shape()[1]; }
 size_t C45Tree::TreeDepth() const { return Shape()[2]; }
 
 std::array<size_t, 3> C45Tree::Shape() const {
-  size_t nodes = 0, leaves = 0, depth = 0;
-  if (root_ != nullptr) CountNodes(*root_, 1, &nodes, &leaves, &depth);
-  return {nodes, leaves, depth};
-}
-
-void C45Tree::VisitPaths(
-    const std::function<void(const std::vector<SplitCondition>&,
-                             const LeafInfo&)>& visitor) const {
-  if (root_ == nullptr) return;
-  std::vector<SplitCondition> prefix;
-  std::function<void(const Node&)> rec = [&](const Node& node) {
-    if (node.IsLeaf()) {
-      LeafInfo info;
-      info.class_counts = node.class_counts;
-      info.weight = node.weight;
-      info.majority = node.majority;
-      info.expected_error_confidence = node.expected_error_conf;
-      visitor(prefix, info);
-      return;
+  // Children follow their parent, so one pass in index order sees every
+  // node's level before its children's.
+  const std::vector<FlatTree::Node>& nodes = flat_.nodes;
+  std::vector<size_t> level(nodes.size(), 1);
+  size_t leaves = 0, depth = 0;
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    depth = std::max(depth, level[i]);
+    if (nodes[i].kind == FlatTree::Node::Kind::kLeaf) {
+      ++leaves;
+      continue;
     }
-    for (size_t b = 0; b < node.children.size(); ++b) {
-      SplitCondition cond;
-      cond.attr = node.split_attr;
-      if (node.ordered_split) {
-        cond.kind = b == 0 ? SplitCondition::Kind::kLessEq
-                           : SplitCondition::Kind::kGreater;
-        cond.threshold = node.threshold;
-      } else {
-        cond.kind = SplitCondition::Kind::kCategory;
-        cond.category = static_cast<int32_t>(b);
-      }
-      prefix.push_back(cond);
-      rec(*node.children[b]);
-      prefix.pop_back();
+    for (int32_t b = 0; b < nodes[i].num_children; ++b) {
+      level[static_cast<size_t>(
+          flat_.children[static_cast<size_t>(nodes[i].index + b)])] =
+          level[i] + 1;
     }
-  };
-  rec(*root_);
+  }
+  return {nodes.size(), leaves, depth};
 }
 
 std::string C45Tree::ToString(const Schema& schema) const {
+  if (flat_.nodes.empty()) return "<untrained>";
   std::string out;
-  if (root_ == nullptr) return "<untrained>";
-  std::function<void(const Node&, int)> rec = [&](const Node& node, int indent) {
+  std::function<void(int32_t, int)> rec = [&](int32_t at, int indent) {
+    const FlatTree::Node& node = flat_.nodes[static_cast<size_t>(at)];
     const std::string pad(static_cast<size_t>(indent) * 2, ' ');
-    if (node.IsLeaf()) {
-      out += pad + "leaf: class " +
-             encoder_->Label(node.majority, schema) + " (weight " +
-             FormatDouble(node.weight, 2) + ")\n";
+    if (node.kind == FlatTree::Node::Kind::kLeaf) {
+      const FlatTree::Leaf& leaf = flat_.leaves[static_cast<size_t>(node.index)];
+      out += pad + "leaf: class " + encoder_->Label(leaf.majority, schema) +
+             " (weight " + FormatDouble(leaf.weight, 2) + ")\n";
       return;
     }
-    const AttributeDef& def =
-        schema.attribute(static_cast<size_t>(node.split_attr));
-    for (size_t b = 0; b < node.children.size(); ++b) {
-      std::string branch;
-      if (node.ordered_split) {
-        branch = def.name + (b == 0 ? " <= " : " > ") +
-                 FormatDouble(node.threshold, 4);
+    const AttributeDef& def = schema.attribute(static_cast<size_t>(node.attr));
+    for (int32_t b = 0; b < node.num_children; ++b) {
+      if (node.kind == FlatTree::Node::Kind::kOrdered) {
+        out += pad + def.name + (b == 0 ? " <= " : " > ") +
+               FormatDouble(node.threshold, 4) + ":\n";
       } else {
-        branch = def.name + " = " + def.categories[b];
+        out += pad + def.name + " = " +
+               def.categories[static_cast<size_t>(b)] + ":\n";
       }
-      out += pad + branch + ":\n";
-      rec(*node.children[b], indent + 1);
+      rec(flat_.children[static_cast<size_t>(node.index + b)], indent + 1);
     }
   };
-  rec(*root_, 0);
+  rec(0, 0);
   return out;
 }
 

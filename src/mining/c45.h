@@ -27,7 +27,6 @@
 #define DQ_MINING_C45_H_
 
 #include <array>
-#include <functional>
 #include <memory>
 
 #include "mining/classifier.h"
@@ -130,35 +129,18 @@ struct C45Config {
 /// instances of one class that have to occur in a leaf").
 double MinInstForConfidence(double min_conf, double confidence_level);
 
-/// \brief One condition along a root-to-leaf path.
-struct SplitCondition {
-  int attr = -1;
-  enum class Kind { kCategory, kLessEq, kGreater } kind = Kind::kCategory;
-  int32_t category = 0;
-  double threshold = 0.0;
-
-  std::string ToString(const Schema& schema) const;
-};
-
-/// \brief Statistics of a leaf, exposed for rule extraction (sec. 5.4).
-struct LeafInfo {
-  std::vector<double> class_counts;
-  double weight = 0.0;
-  int majority = -1;
-  /// Expected error confidence of the leaf under Def. 9.
-  double expected_error_confidence = 0.0;
-};
-
 /// \brief C4.5 decision tree classifier.
 ///
-/// Train induces the tree over linked nodes, prunes it, and then compiles it
-/// into one FlatTree: a contiguous node array whose split nodes keep their
-/// per-branch known training weights (so a null is routed fractionally, as
-/// C4.5 classifies missing values) and whose leaf table holds each leaf's
-/// normalized distribution, support, predicted class and the suggested
-/// correction. Predict and the auditor's column-wise scorer both walk that
-/// array. The leaf values are computed with the expressions and in the
-/// order a walk uses, so a leaf-table lookup equals the walk bit for bit.
+/// Train induces the tree over linked nodes, prunes it, compiles it into one
+/// FlatTree and frees the linked nodes: the FlatTree is the model. Its
+/// split nodes keep their per-branch known training weights (so a null is
+/// routed fractionally, as C4.5 classifies missing values) and its leaf
+/// table holds each leaf's training statistics, normalized distribution,
+/// support, predicted class and the suggested correction. Predict, the
+/// auditor's column-wise scorer, rule export and the persisted structure
+/// model all read that array. The leaf values are computed with the
+/// expressions and in the order a walk uses, so a leaf-table lookup equals
+/// the walk bit for bit.
 class C45Tree : public Classifier {
  public:
   explicit C45Tree(C45Config config = {});
@@ -172,7 +154,8 @@ class C45Tree : public Classifier {
 
   const C45Config& config() const { return config_; }
 
-  /// \brief The compiled tree (empty until Train succeeds).
+  /// \brief The compiled tree (empty until Train succeeds). Its VisitPaths
+  /// yields the tree's rules (sec. 5.4).
   const FlatTree& flat() const { return flat_; }
 
   size_t NodeCount() const;
@@ -189,11 +172,6 @@ class C45Tree : public Classifier {
 
   /// \brief Pretty-prints the tree.
   std::string ToString(const Schema& schema) const;
-
-  /// \brief Visits every root-to-leaf path (for the decision-tree -> rule
-  /// set transformation of sec. 5.4).
-  void VisitPaths(const std::function<void(const std::vector<SplitCondition>&,
-                                           const LeafInfo&)>& visitor) const;
 
  private:
   /// A node of the linked tree Train induces and prunes.
@@ -217,23 +195,26 @@ class C45Tree : public Classifier {
   struct BuildContext;
   struct NodeData;
   friend struct C45HistogramBuilder;  // histogram-mode frontier build
-  /// Tests walk the linked tree to check the compiled one against it.
+  /// Tests induce the linked tree (InduceTree) to check the compiled one
+  /// against it.
   friend struct C45TreeTestPeer;
 
+  /// The first step of Train: induces and prunes the linked tree.
+  Result<std::unique_ptr<Node>> InduceTree(const TrainingData& data);
   std::unique_ptr<Node> Build(BuildContext* ctx, NodeData data,
                               std::vector<bool> avail, int depth);
-  Status TrainHistogram(const TrainingData& data, const EncodedDataset& cache,
-                        BuildContext* ctx,
-                        std::vector<std::pair<uint32_t, double>> insts);
+  std::unique_ptr<Node> TrainHistogram(
+      const TrainingData& data, const EncodedDataset& cache,
+      BuildContext* ctx, std::vector<std::pair<uint32_t, double>> insts);
   void PruneExpectedErrorConf(Node* node);
   double PessimisticErrors(const Node& node) const;
   void PrunePessimistic(Node* node);
-  /// {node count, leaf count, depth} of the linked tree.
+  /// {node count, leaf count, depth} of the compiled tree.
   std::array<size_t, 3> Shape() const;
-  /// Rebuilds flat_ from root_ (the last step of Train).
-  void Compile();
+  /// Rebuilds flat_ from the linked tree (the last step of Train).
+  void Compile(const Node& root);
   /// Appends `node`'s subtree to flat_ in preorder; returns its index.
-  /// `empty_leaves` maps a majority class to its shared empty leaf node.
+  /// `empty_leaves` maps a majority class to its shared empty leaf entry.
   int32_t CompileNode(const Node& node, std::vector<int32_t>* empty_leaves);
 
   C45Config config_;
@@ -243,7 +224,6 @@ class C45Tree : public Classifier {
   int num_classes_ = 0;
   double presort_ms_ = 0.0;
   double build_ms_ = 0.0;
-  std::unique_ptr<Node> root_;
   FlatTree flat_;
 };
 

@@ -1,22 +1,23 @@
 // Compiled decision trees: one contiguous node array plus a leaf table per
 // tree, the layout of forest inference engines (QuickScorer, Lucchese et
-// al., SIGIR 2015). Both checkers of the multiple classification approach
-// walk it: the C4.5 trees an audit induces (C45Tree compiles itself at the
-// end of Train) and the persisted rule sets of a StructureModel (compiled
-// from their root-to-leaf rules when built or loaded).
+// al., SIGIR 2015). A FlatTree is the only form of an induced C4.5 model:
+// C45Tree compiles its pruned tree into one at the end of Train, the
+// auditor scores with it, rule export reads its root-to-leaf paths, and a
+// StructureModel persists and reloads it node for node (`dqmodel v2`).
 //
 // A walk reads the split values of one record through a record view -- the
 // typed columns of a Table or a materialized Row -- so scoring a table
-// never builds a Row. Split nodes say where a null and a category without
-// a child go, which is where the two checkers differ: an induced C4.5 tree
-// routes a null fractionally down every branch with training weight
-// (C4.5's missing-value classification) and sends unseen categories down
-// its first branch, while a rule set matches nothing there.
+// never builds a Row. Nulls follow C4.5's missing-value classification: a
+// null on a split with known training weight forks the record down every
+// branch, weighted by the branch's share of that weight; on a split with
+// no known weight it takes the first branch, as does a category the split
+// has no child for.
 
 #ifndef DQ_MINING_FLAT_TREE_H_
 #define DQ_MINING_FLAT_TREE_H_
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "mining/classifier.h"
@@ -71,48 +72,58 @@ struct RowRecord {
   double ordered(size_t attr) const { return (*row)[attr].OrderedValue(); }
 };
 
+/// \brief One condition along a root-to-leaf path.
+struct SplitCondition {
+  int attr = -1;
+  enum class Kind { kCategory, kLessEq, kGreater } kind = Kind::kCategory;
+  int32_t category = 0;
+  double threshold = 0.0;
+
+  std::string ToString(const Schema& schema) const;
+};
+
 /// \brief A decision tree compiled into flat arrays.
 struct FlatTree {
-  /// Find results that are not leaf indices.
-  static constexpr int32_t kNoMatch = -1;  ///< no leaf applies
-  static constexpr int32_t kFork = -2;     ///< a null splits the record
+  /// Find's result when a null splits the record (Distribute).
+  static constexpr int32_t kFork = -1;
 
   /// Training weights at or below this are empty (C4.5's epsilon).
   static constexpr double kEps = 1e-9;
 
   struct Node {
-    enum class Kind : uint8_t { kEmpty, kLeaf, kCategory, kOrdered };
-    Kind kind = Kind::kEmpty;  ///< kEmpty: a path no leaf ends on (yet)
-    /// Split: where a null, and (category splits) a code with no child,
-    /// lead: kNoMatch, kFork (nulls only) or 0, the first branch.
-    int8_t on_null = kNoMatch;
-    int8_t on_unseen = kNoMatch;
+    enum class Kind : uint8_t { kLeaf, kCategory, kOrdered };
+    Kind kind = Kind::kLeaf;
     int32_t attr = -1;  ///< split attribute
     /// kLeaf: index into `leaves`. Split: offset of its children in
     /// `children`; an ordered split has two (value <= threshold, value >
     /// threshold), a category split one per category of the domain.
-    int32_t index = kNoMatch;
+    int32_t index = 0;
     int32_t num_children = 0;
     double threshold = 0.0;  ///< kOrdered split point
   };
 
-  /// What a record that reaches a leaf is scored with (Def. 7).
+  /// What a record that reaches a leaf is scored with (Def. 7), and the
+  /// training statistics it is derived from.
   struct Leaf {
     double support = 0.0;    ///< training instances behind the prediction
     int32_t predicted = -1;  ///< argmax of the distribution, -1 if none
     Value suggestion;        ///< correction proposal (sec. 5.3)
-    double weight = 0.0;     ///< fractional routing: training weight
-    int32_t majority = 0;    ///< fractional routing: an empty leaf's vote
+    double weight = 0.0;     ///< training weight
+    int32_t majority = 0;    ///< majority class; an empty leaf's vote
+    /// Def. 9 value of the leaf (sec. 5.4's rule reduction reads it).
+    double expected_error_confidence = 0.0;
   };
 
-  std::vector<Node> nodes;         ///< nodes[0] is the root
-  std::vector<int32_t> children;   ///< node indices; kNoMatch = no child
+  /// Preorder: nodes[0] is the root and every child comes after its
+  /// parent. Each node has one parent; empty leaves share a leaf entry.
+  std::vector<Node> nodes;
+  std::vector<int32_t> children;  ///< node indices
   std::vector<Leaf> leaves;
   int num_classes = 0;
   /// leaves x num_classes: each leaf's class distribution.
   std::vector<double> distributions;
 
-  // Fractional null routing (Distribute); filled by C4.5 trees only.
+  // Fractional null routing (Distribute).
   std::vector<double> known_weight;  ///< per node: weight with known value
   std::vector<double> child_weight;  ///< parallel to children: branch weight
   std::vector<double> counts;        ///< leaves x num_classes: class counts
@@ -121,19 +132,21 @@ struct FlatTree {
     return distributions.data() +
            static_cast<size_t>(leaf) * static_cast<size_t>(num_classes);
   }
+  const double* class_counts(int32_t leaf) const {
+    return counts.data() +
+           static_cast<size_t>(leaf) * static_cast<size_t>(num_classes);
+  }
 
-  /// \brief The leaf `rec` reaches, kNoMatch, or kFork when a null on a
-  /// split must be routed fractionally (Distribute). O(depth).
+  /// \brief The leaf `rec` reaches, or kFork when a null on a split must
+  /// be routed fractionally (Distribute). O(depth).
   template <typename Record>
   int32_t Find(const Record& rec) const {
     int32_t at = 0;
     for (;;) {
       const Node& node = nodes[static_cast<size_t>(at)];
-      if (node.kind == Node::Kind::kLeaf || node.kind == Node::Kind::kEmpty) {
-        return node.index;
-      }
-      at = Step(node, rec);
-      if (at < 0) return at;
+      if (node.kind == Node::Kind::kLeaf) return node.index;
+      at = Step(at, rec);
+      if (at == kFork) return kFork;
     }
   }
 
@@ -150,18 +163,28 @@ struct FlatTree {
     return support;
   }
 
-  /// \brief Appends a leaf of a tree with fractional routing from its
-  /// training class counts (num_classes of them), weight and majority
-  /// class, and derives what a record that reaches only this leaf is
-  /// scored with: the distribution Distribute would compute and its
-  /// argmax. The caller sets the suggestion. Returns the leaf's index.
+  /// \brief Calls `visitor(conditions, leaf)` for every root-to-leaf path,
+  /// in preorder: the decision tree -> rule set transformation (sec. 5.4).
+  template <typename Visitor>
+  void VisitPaths(Visitor&& visitor) const {
+    if (nodes.empty()) return;
+    std::vector<SplitCondition> path;
+    VisitFrom(0, &path, visitor);
+  }
+
+  /// \brief Appends a leaf from its training class counts (num_classes of
+  /// them), weight, majority class and Def. 9 value, and derives what a
+  /// record that reaches only this leaf is scored with: the distribution
+  /// Distribute would compute and its argmax. The caller sets the
+  /// suggestion. Returns the leaf's index.
   int32_t AppendLeaf(const double* class_counts, double weight,
-                     int32_t majority) {
+                     int32_t majority, double expected_error_confidence) {
     const auto i = static_cast<int32_t>(leaves.size());
     const auto nc = static_cast<size_t>(num_classes);
     Leaf& leaf = leaves.emplace_back();
     leaf.weight = weight;
     leaf.majority = majority;
+    leaf.expected_error_confidence = expected_error_confidence;
     counts.insert(counts.end(), class_counts, class_counts + nc);
     const size_t offset = distributions.size();
     distributions.resize(offset + nc);
@@ -178,8 +201,7 @@ struct FlatTree {
                   double* support) const {
     const Leaf& leaf = leaves[static_cast<size_t>(i)];
     if (leaf.weight > kEps) {
-      const double* c = counts.data() + static_cast<size_t>(i) *
-                                            static_cast<size_t>(num_classes);
+      const double* c = class_counts(i);
       for (int k = 0; k < num_classes; ++k) {
         dist[k] += weight * c[k] / leaf.weight;
       }
@@ -199,22 +221,20 @@ struct FlatTree {
   }
 
  private:
-  /// Child of split `node` for a record, the null case included.
+  /// Child of split `at` for a record, or kFork for a null on a split with
+  /// known training weight.
   template <typename Record>
-  int32_t Step(const Node& node, const Record& rec) const {
+  int32_t Step(int32_t at, const Record& rec) const {
+    const Node& node = nodes[static_cast<size_t>(at)];
     const auto attr = static_cast<size_t>(node.attr);
-    int32_t branch;
+    int32_t branch = 0;
     if (rec.is_null(attr)) {
-      if (node.on_null < 0) return node.on_null;
-      branch = node.on_null;
+      if (known_weight[static_cast<size_t>(at)] > kEps) return kFork;
     } else if (node.kind == Node::Kind::kOrdered) {
       branch = rec.ordered(attr) <= node.threshold ? 0 : 1;
     } else {
-      branch = rec.code(attr);
-      if (branch < 0 || branch >= node.num_children) {
-        if (node.on_unseen < 0) return node.on_unseen;
-        branch = node.on_unseen;
-      }
+      const int32_t code = rec.code(attr);
+      if (code >= 0 && code < node.num_children) branch = code;
     }
     return children[static_cast<size_t>(node.index + branch)];
   }
@@ -227,7 +247,7 @@ struct FlatTree {
       Accumulate(node.index, weight, dist, support);
       return;
     }
-    const int32_t next = Step(node, rec);
+    const int32_t next = Step(at, rec);
     if (next != kFork) {
       Route(rec, next, weight, dist, support);
       return;
@@ -239,6 +259,31 @@ struct FlatTree {
             weight * child_weight[slot] /
                 known_weight[static_cast<size_t>(at)],
             dist, support);
+    }
+  }
+
+  template <typename Visitor>
+  void VisitFrom(int32_t at, std::vector<SplitCondition>* path,
+                 Visitor& visitor) const {
+    const Node& node = nodes[static_cast<size_t>(at)];
+    if (node.kind == Node::Kind::kLeaf) {
+      visitor(static_cast<const std::vector<SplitCondition>&>(*path),
+              node.index);
+      return;
+    }
+    for (int32_t b = 0; b < node.num_children; ++b) {
+      SplitCondition cond;
+      cond.attr = node.attr;
+      if (node.kind == Node::Kind::kOrdered) {
+        cond.kind = b == 0 ? SplitCondition::Kind::kLessEq
+                           : SplitCondition::Kind::kGreater;
+        cond.threshold = node.threshold;
+      } else {
+        cond.category = b;
+      }
+      path->push_back(cond);
+      VisitFrom(children[static_cast<size_t>(node.index + b)], path, visitor);
+      path->pop_back();
     }
   }
 };

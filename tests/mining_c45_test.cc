@@ -307,10 +307,10 @@ TEST(C45Test, VisitPathsCoversAllLeaves) {
   ASSERT_TRUE(tree.Train(MakeTraining(t, *enc)).ok());
   size_t leaves = 0;
   double weight = 0.0;
-  tree.VisitPaths([&](const std::vector<SplitCondition>& conds,
-                      const LeafInfo& leaf) {
+  const FlatTree& flat = tree.flat();
+  flat.VisitPaths([&](const std::vector<SplitCondition>& conds, int32_t leaf) {
     ++leaves;
-    weight += leaf.weight;
+    weight += flat.leaves[static_cast<size_t>(leaf)].weight;
     for (const SplitCondition& c : conds) {
       EXPECT_GE(c.attr, 0);
     }

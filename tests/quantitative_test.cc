@@ -169,8 +169,9 @@ TEST(QuantC45Test, LeafExpectedErrorConfidenceMatchesFormula) {
   ASSERT_TRUE(tree.Train(td).ok());
 
   bool found_impure = false;
-  tree.VisitPaths([&](const std::vector<SplitCondition>& conds,
-                      const LeafInfo& leaf) {
+  const FlatTree& flat = tree.flat();
+  flat.VisitPaths([&](const std::vector<SplitCondition>& conds, int32_t i) {
+    const FlatTree::Leaf& leaf = flat.leaves[static_cast<size_t>(i)];
     if (conds.size() == 1 && conds[0].category == 0) {
       found_impure = true;
       ASSERT_EQ(leaf.weight, 1000.0);

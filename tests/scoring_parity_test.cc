@@ -4,8 +4,9 @@
 // code: the per-record loop the engine replaced -- one materialized Row
 // per record, Def. 7 at every model, Def. 8 as a strict running maximum in
 // model order -- over the recursive missing-value walk of the linked tree
-// C45Tree::Train induces, which the compiled tree is built from. The two
-// reports must be equal bit for bit.
+// C45Tree::Train induces and compiles (the tests induce it again through
+// Train's first step; Train itself frees it). The two reports must be
+// equal bit for bit.
 //
 // The audited table is a polluted QUIS sample with nulls in split
 // attributes (fractional routing), nominal codes outside every category
@@ -18,23 +19,34 @@
 #include "audit/auditor.h"
 #include "common/random.h"
 #include "gtest/gtest.h"
+#include "mining/encoded_dataset.h"
 #include "quis/quis_sample.h"
 #include "stats/confidence.h"
 
 namespace dq {
 
-/// Reads the linked tree a C45Tree was compiled from.
+/// Induces the linked tree a C45Tree compiles, through Train's first step.
 struct C45TreeTestPeer {
+  using Node = C45Tree::Node;
+
+  /// The linked tree C45Tree(config).Train(data) compiles.
+  static std::unique_ptr<Node> InduceTree(const C45Config& config,
+                                          const TrainingData& data) {
+    C45Tree tree(config);
+    auto root = tree.InduceTree(data);
+    EXPECT_TRUE(root.ok()) << root.status();
+    return root.ok() ? std::move(*root) : nullptr;
+  }
+
   /// C4.5's missing-value classification over the linked nodes, written
   /// the way Predict computed it before trees were compiled: a null on a
   /// split is spread over the branches by their known training weight (the
   /// first branch when none was known), an unseen category takes the first
   /// branch, an empty leaf votes its majority with no support.
-  static Prediction Predict(const C45Tree& tree, const Row& row) {
+  static Prediction Predict(const Node& root, const Row& row) {
     Prediction out;
-    out.distribution.assign(static_cast<size_t>(tree.num_classes_), 0.0);
-    if (tree.root_ == nullptr) return out;
-    Walk(*tree.root_, row, 1.0, &out.distribution, &out.support);
+    out.distribution.assign(root.class_counts.size(), 0.0);
+    Walk(root, row, 1.0, &out.distribution, &out.support);
     double total = 0.0;
     for (double p : out.distribution) total += p;
     if (total > kEps) {
@@ -90,11 +102,40 @@ struct C45TreeTestPeer {
 
 namespace {
 
+/// Per attribute model of an AuditModel: the linked tree its C4.5 tree was
+/// compiled from, null for other inducers.
+using LinkedTrees = std::vector<std::unique_ptr<C45TreeTestPeer::Node>>;
+
+/// Induces the linked trees of `model` again on `train` with the inputs
+/// Auditor::Induce gave each Train call.
+LinkedTrees InduceLinkedTrees(const AuditModel& model, const Table& train,
+                              const AuditorConfig& config) {
+  const EncodedDataset encoded = EncodedDataset::Build(
+      train, config.numeric_class_bins, 1, config.c45.histogram_bins);
+  LinkedTrees linked;
+  for (const AttributeModel& am : model.models()) {
+    const auto* tree = dynamic_cast<const C45Tree*>(am.classifier.get());
+    if (tree == nullptr) {
+      linked.emplace_back();
+      continue;
+    }
+    TrainingData td;
+    td.table = &train;
+    td.class_attr = am.class_attr;
+    td.base_attrs = am.base_attrs;
+    td.encoder = &am.encoder;
+    td.encoded = &encoded;
+    linked.push_back(C45TreeTestPeer::InduceTree(tree->config(), td));
+  }
+  return linked;
+}
+
 /// Linked-tree walk for C4.5 models, Predict for every other inducer.
-Prediction OraclePredict(const AttributeModel& am, const Row& row) {
-  const auto* tree = dynamic_cast<const C45Tree*>(am.classifier.get());
-  return tree != nullptr ? C45TreeTestPeer::Predict(*tree, row)
-                         : am.classifier->Predict(row);
+Prediction OraclePredict(const AttributeModel& am,
+                         const C45TreeTestPeer::Node* linked,
+                         const Row& row) {
+  return linked != nullptr ? C45TreeTestPeer::Predict(*linked, row)
+                           : am.classifier->Predict(row);
 }
 
 /// argmax of a distribution: the first class with the largest positive
@@ -131,8 +172,8 @@ double OracleErrorConfidence(const Prediction& pred, int observed,
 
 /// The pre-compilation Audit: per record, a Row and one prediction per
 /// model.
-AuditReport OracleAudit(const AuditModel& model, const Table& data,
-                        const AuditorConfig& config) {
+AuditReport OracleAudit(const AuditModel& model, const LinkedTrees& linked,
+                        const Table& data, const AuditorConfig& config) {
   AuditReport report;
   const size_t n = data.num_rows();
   report.record_confidence.assign(n, 0.0);
@@ -142,10 +183,11 @@ AuditReport OracleAudit(const AuditModel& model, const Table& data,
   report.flagged.assign(n, false);
   for (size_t r = 0; r < n; ++r) {
     const Row row = data.row(r);
-    for (const AttributeModel& am : model.models()) {
+    for (size_t m = 0; m < model.models().size(); ++m) {
+      const AttributeModel& am = model.models()[m];
       const int observed =
           am.encoder.Encode(row[static_cast<size_t>(am.class_attr)]);
-      const Prediction pred = OraclePredict(am, row);
+      const Prediction pred = OraclePredict(am, linked[m].get(), row);
       const double conf = OracleErrorConfidence(pred, observed, config);
       if (conf > report.record_confidence[r]) {
         report.record_confidence[r] = conf;
@@ -304,7 +346,8 @@ TEST_F(ScoringParityTest, CompiledTreesMatchRowOracleInBothSplitModes) {
     EXPECT_GT(cov.unseen_codes, 0u) << SplitModeToString(mode);
     EXPECT_GT(cov.empty_leaves, 0u) << SplitModeToString(mode);
 
-    const AuditReport oracle = OracleAudit(*model, *data_, config);
+    const AuditReport oracle = OracleAudit(
+        *model, InduceLinkedTrees(*model, *train_, config), *data_, config);
     ASSERT_GT(oracle.suspicious.size(), 0u);
     for (int threads : {1, 2, 4, 8}) {
       SCOPED_TRACE(std::string(SplitModeToString(mode)) +
@@ -323,11 +366,12 @@ TEST_F(ScoringParityTest, NullsScoredOnlyWhenFlagged) {
   config.min_error_confidence = 0.5;
   auto model = Auditor(config).Induce(*train_);
   ASSERT_TRUE(model.ok());
+  const LinkedTrees linked = InduceLinkedTrees(*model, *train_, config);
   for (int threads : {1, 4}) {
     config.num_threads = threads;
     auto report = Auditor(config).Audit(*model, *data_);
     ASSERT_TRUE(report.ok());
-    ExpectBitwiseEqual(OracleAudit(*model, *data_, config), *report);
+    ExpectBitwiseEqual(OracleAudit(*model, linked, *data_, config), *report);
   }
 }
 
@@ -336,13 +380,14 @@ TEST_F(ScoringParityTest, AuditAtAnotherLevelThanInduction) {
   // own level sets Def. 7's bounds.
   auto model = Auditor().Induce(*train_);
   ASSERT_TRUE(model.ok());
+  const LinkedTrees linked = InduceLinkedTrees(*model, *train_, {});
   AuditorConfig config;
   config.confidence_level = 0.9;
   for (int threads : {1, 4}) {
     config.num_threads = threads;
     auto report = Auditor(config).Audit(*model, *data_);
     ASSERT_TRUE(report.ok());
-    ExpectBitwiseEqual(OracleAudit(*model, *data_, config), *report);
+    ExpectBitwiseEqual(OracleAudit(*model, linked, *data_, config), *report);
   }
 }
 
@@ -390,10 +435,13 @@ TEST_F(ScoringParityTest, PredictEqualsTheLinkedTreeWalk) {
     config.c45.split_mode = mode;
     auto model = Auditor(config).Induce(*train_);
     ASSERT_TRUE(model.ok());
-    for (const AttributeModel& am : model->models()) {
+    const LinkedTrees linked = InduceLinkedTrees(*model, *train_, config);
+    for (size_t m = 0; m < model->models().size(); ++m) {
+      const AttributeModel& am = model->models()[m];
       const auto& tree = dynamic_cast<const C45Tree&>(*am.classifier);
+      ASSERT_NE(linked[m], nullptr);
       const auto expect_same = [&](const Row& row) {
-        const Prediction want = C45TreeTestPeer::Predict(tree, row);
+        const Prediction want = C45TreeTestPeer::Predict(*linked[m], row);
         const Prediction got = tree.Predict(row);
         ASSERT_TRUE(SameBits(want.support, got.support));
         ASSERT_EQ(want.distribution.size(), got.distribution.size());
@@ -429,7 +477,8 @@ TEST_F(ScoringParityTest, RowInducersShareTheEngine) {
   config.inducer = InducerKind::kNaiveBayes;
   auto model = Auditor(config).Induce(*train_);
   ASSERT_TRUE(model.ok());
-  const AuditReport oracle = OracleAudit(*model, *data_, config);
+  const AuditReport oracle = OracleAudit(
+      *model, InduceLinkedTrees(*model, *train_, config), *data_, config);
   for (int threads : {1, 4}) {
     config.num_threads = threads;
     auto report = Auditor(config).Audit(*model, *data_);

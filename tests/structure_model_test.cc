@@ -1,15 +1,16 @@
-// Tests for the persistent rule-set structure model (sec. 2.2 asynchrony,
-// sec. 5.4 rule export) and the interactive review module (sec. 5.3).
+// Tests for the persisted structure model (sec. 2.2 asynchrony: induce
+// offline, check later) and the interactive review module (sec. 5.3).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
+#include <cstring>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
-#include "audit/error_confidence.h"
 #include "audit/review.h"
 #include "audit/structure_model.h"
 #include "common/random.h"
@@ -65,77 +66,23 @@ struct Fixture {
   }
 };
 
-/// Reference checker: the first-match rule scan over StructureRule::Matches
-/// that the compiled-tree walk replaced. Kept here as the oracle the walk
-/// must reproduce field for field.
-AuditReport RuleScanOracle(const StructureModel& sm, const Table& data,
-                           const AuditorConfig& config) {
-  AuditReport report;
-  const size_t n = data.num_rows();
-  report.record_confidence.assign(n, 0.0);
-  report.record_attr.assign(n, -1);
-  report.record_suggestion.assign(n, Value::Null());
-  report.record_support.assign(n, 0.0);
-  report.flagged.assign(n, false);
-  for (size_t r = 0; r < n; ++r) {
-    const Row row = data.row(r);
-    for (const AttributeRuleSet& set : sm.rule_sets()) {
-      const StructureRule* matched = nullptr;
-      for (const StructureRule& rule : set.rules) {
-        if (rule.Matches(row)) {
-          matched = &rule;
-          break;
-        }
-      }
-      if (matched == nullptr || matched->support <= 0.0) continue;
-      Prediction pred;
-      pred.support = matched->support;
-      for (double c : matched->class_counts) {
-        pred.distribution.push_back(c / matched->support);
-      }
-      const double conf = ErrorConfidence(
-          pred, set.encoder.Encode(row[static_cast<size_t>(set.class_attr)]),
-          config.confidence_level, config.flag_null_values);
-      if (conf > report.record_confidence[r]) {
-        report.record_confidence[r] = conf;
-        report.record_attr[r] = set.class_attr;
-        report.record_suggestion[r] =
-            set.encoder.Representative(matched->majority_class);
-        report.record_support[r] = matched->support;
-      }
-    }
-    const int attr = report.record_attr[r];
-    if (attr < 0 ||
-        report.record_confidence[r] < config.min_error_confidence) {
-      continue;
-    }
-    report.flagged[r] = true;
-    Suspicion s;
-    s.row = r;
-    s.error_confidence = report.record_confidence[r];
-    s.attr = attr;
-    s.observed = data.cell(r, static_cast<size_t>(attr));
-    s.suggestion = report.record_suggestion[r];
-    s.support = report.record_support[r];
-    report.suspicious.push_back(std::move(s));
-  }
-  std::stable_sort(report.suspicious.begin(), report.suspicious.end(),
-                   [](const Suspicion& a, const Suspicion& b) {
-                     return a.error_confidence > b.error_confidence;
-                   });
-  return report;
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
 
+/// Every record field and the ranked list, doubles compared bit for bit.
 void ExpectSameReport(const AuditReport& want, const AuditReport& got) {
   ASSERT_EQ(want.record_confidence.size(), got.record_confidence.size());
   for (size_t r = 0; r < want.record_confidence.size(); ++r) {
-    ASSERT_EQ(want.record_confidence[r], got.record_confidence[r])
-        << "row " << r;
+    ASSERT_TRUE(SameBits(want.record_confidence[r], got.record_confidence[r]))
+        << "row " << r << ": " << want.record_confidence[r] << " vs "
+        << got.record_confidence[r];
     ASSERT_EQ(want.record_attr[r], got.record_attr[r]) << "row " << r;
     ASSERT_TRUE(
         want.record_suggestion[r].StrictEquals(got.record_suggestion[r]))
         << "row " << r;
-    ASSERT_EQ(want.record_support[r], got.record_support[r]) << "row " << r;
+    ASSERT_TRUE(SameBits(want.record_support[r], got.record_support[r]))
+        << "row " << r;
     ASSERT_EQ(want.IsFlagged(r), got.IsFlagged(r)) << "row " << r;
   }
   ASSERT_EQ(want.suspicious.size(), got.suspicious.size());
@@ -143,11 +90,12 @@ void ExpectSameReport(const AuditReport& want, const AuditReport& got) {
     const Suspicion& a = want.suspicious[i];
     const Suspicion& b = got.suspicious[i];
     ASSERT_EQ(a.row, b.row) << "rank " << i;
-    ASSERT_EQ(a.error_confidence, b.error_confidence) << "rank " << i;
+    ASSERT_TRUE(SameBits(a.error_confidence, b.error_confidence))
+        << "rank " << i;
     ASSERT_EQ(a.attr, b.attr) << "rank " << i;
     ASSERT_TRUE(a.observed.StrictEquals(b.observed)) << "rank " << i;
     ASSERT_TRUE(a.suggestion.StrictEquals(b.suggestion)) << "rank " << i;
-    ASSERT_EQ(a.support, b.support) << "rank " << i;
+    ASSERT_TRUE(SameBits(a.support, b.support)) << "rank " << i;
   }
 }
 
@@ -188,17 +136,83 @@ Table Polluted(const Table& table, double rate, uint64_t seed) {
   return out;
 }
 
+/// Two compiled trees agree array for array, doubles bit for bit.
+void ExpectSameTree(const FlatTree& want, const FlatTree& got) {
+  ASSERT_EQ(want.num_classes, got.num_classes);
+  ASSERT_EQ(want.nodes.size(), got.nodes.size());
+  for (size_t i = 0; i < want.nodes.size(); ++i) {
+    const FlatTree::Node& a = want.nodes[i];
+    const FlatTree::Node& b = got.nodes[i];
+    ASSERT_EQ(a.kind, b.kind) << "node " << i;
+    ASSERT_EQ(a.index, b.index) << "node " << i;
+    if (a.kind == FlatTree::Node::Kind::kLeaf) continue;
+    ASSERT_EQ(a.attr, b.attr) << "node " << i;
+    ASSERT_EQ(a.num_children, b.num_children) << "node " << i;
+    ASSERT_TRUE(SameBits(a.threshold, b.threshold)) << "node " << i;
+    ASSERT_TRUE(SameBits(want.known_weight[i], got.known_weight[i]));
+  }
+  ASSERT_EQ(want.children, got.children);
+  ASSERT_EQ(want.child_weight.size(), got.child_weight.size());
+  for (size_t i = 0; i < want.child_weight.size(); ++i) {
+    ASSERT_TRUE(SameBits(want.child_weight[i], got.child_weight[i]));
+  }
+  ASSERT_EQ(want.leaves.size(), got.leaves.size());
+  for (size_t i = 0; i < want.leaves.size(); ++i) {
+    const FlatTree::Leaf& a = want.leaves[i];
+    const FlatTree::Leaf& b = got.leaves[i];
+    ASSERT_TRUE(SameBits(a.support, b.support)) << "leaf " << i;
+    ASSERT_EQ(a.predicted, b.predicted) << "leaf " << i;
+    ASSERT_TRUE(a.suggestion.StrictEquals(b.suggestion)) << "leaf " << i;
+    ASSERT_TRUE(SameBits(a.weight, b.weight)) << "leaf " << i;
+    ASSERT_EQ(a.majority, b.majority) << "leaf " << i;
+    ASSERT_TRUE(SameBits(a.expected_error_confidence,
+                         b.expected_error_confidence))
+        << "leaf " << i;
+  }
+  for (auto v : {&FlatTree::distributions, &FlatTree::counts}) {
+    ASSERT_EQ((want.*v).size(), (got.*v).size());
+    for (size_t i = 0; i < (want.*v).size(); ++i) {
+      ASSERT_TRUE(SameBits((want.*v)[i], (got.*v)[i]));
+    }
+  }
+}
+
+/// A hand-written model of ModelSchema: Y predicted from X. X = x0 leads
+/// to a leaf of 100 training records, 99 of them y1; x1 and x2 lead to an
+/// empty leaf voting y0.
+const char* const kMinimalModel =
+    "dqmodel v2\n"
+    "attrset 1 nominal\n"
+    "tree 4 2\n"
+    "node cat 0 3 100 100 1 0 2 0 3\n"
+    "node leaf 0\n"
+    "node leaf 1\n"
+    "node leaf 1\n"
+    "leaf 1 100 0.5 3 1 99 0\n"
+    "leaf 0 0 0 3 0 0 0\n"
+    "end\n";
+
+/// kMinimalModel with its `line`-th line (from 0) replaced by `with`.
+std::string MinimalModelWith(size_t line, const std::string& with) {
+  std::istringstream in(kMinimalModel);
+  std::string out;
+  std::string text;
+  for (size_t i = 0; std::getline(in, text); ++i) {
+    out += (i == line ? with : text) + "\n";
+  }
+  return out;
+}
+
 TEST(StructureModelTest, BuildsNonEmptyRuleSets) {
   Fixture f;
   StructureModel sm = StructureModel::FromAuditModel(f.model, f.table.schema());
   EXPECT_GT(sm.TotalRules(), 0u);
-  EXPECT_FALSE(sm.rule_sets().empty());
-  for (const AttributeRuleSet& set : sm.rule_sets()) {
-    for (const StructureRule& rule : set.rules) {
-      EXPECT_EQ(rule.class_attr, set.class_attr);
-      EXPECT_EQ(static_cast<int>(rule.class_counts.size()),
-                set.encoder.num_classes());
-    }
+  ASSERT_EQ(sm.trees().size(), f.model.num_models());
+  for (size_t i = 0; i < sm.trees().size(); ++i) {
+    const AttributeTree& at = sm.trees()[i];
+    EXPECT_EQ(at.class_attr, f.model.models()[i].class_attr);
+    EXPECT_EQ(at.tree.num_classes, at.encoder.num_classes());
+    EXPECT_FALSE(at.tree.nodes.empty());
   }
 }
 
@@ -213,23 +227,13 @@ TEST(StructureModelTest, CheckFlagsPlantedErrors) {
 }
 
 TEST(StructureModelTest, CheckAgreesWithTreeAudit) {
-  // Rule-set checking and tree-based auditing coincide for records with
-  // fully known path attributes (which is all of them here).
   Fixture f;
   StructureModel sm = StructureModel::FromAuditModel(f.model, f.table.schema());
-  auto rule_report = sm.Check(f.table, f.config);
-  auto tree_report = f.auditor.Audit(f.model, f.table);
-  ASSERT_TRUE(rule_report.ok());
-  ASSERT_TRUE(tree_report.ok());
-  EXPECT_EQ(rule_report->NumFlagged(), tree_report->NumFlagged());
-  for (size_t r = 0; r < f.table.num_rows(); ++r) {
-    EXPECT_EQ(rule_report->IsFlagged(r), tree_report->IsFlagged(r))
-        << "row " << r;
-    if (rule_report->IsFlagged(r)) {
-      EXPECT_NEAR(rule_report->record_confidence[r],
-                  tree_report->record_confidence[r], 1e-9);
-    }
-  }
+  auto checked = sm.Check(f.table, f.config);
+  auto audited = f.auditor.Audit(f.model, f.table);
+  ASSERT_TRUE(checked.ok());
+  ASSERT_TRUE(audited.ok());
+  ExpectSameReport(*audited, *checked);
 }
 
 TEST(StructureModelTest, SerializationRoundTrip) {
@@ -241,35 +245,36 @@ TEST(StructureModelTest, SerializationRoundTrip) {
   auto back = StructureModel::Deserialize(f.table.schema(), &is);
   ASSERT_TRUE(back.ok()) << back.status();
   EXPECT_EQ(back->TotalRules(), sm.TotalRules());
-
-  // The deserialized model checks identically.
-  auto before = sm.Check(f.table, f.config);
-  auto after = back->Check(f.table, f.config);
-  ASSERT_TRUE(before.ok());
-  ASSERT_TRUE(after.ok());
-  ASSERT_EQ(before->NumFlagged(), after->NumFlagged());
-  for (size_t r = 0; r < f.table.num_rows(); ++r) {
-    EXPECT_DOUBLE_EQ(before->record_confidence[r],
-                     after->record_confidence[r]);
+  // The loaded trees are the saved ones, and saving them again writes the
+  // same bytes.
+  ASSERT_EQ(back->trees().size(), sm.trees().size());
+  for (size_t i = 0; i < sm.trees().size(); ++i) {
+    EXPECT_EQ(back->trees()[i].class_attr, sm.trees()[i].class_attr);
+    ExpectSameTree(sm.trees()[i].tree, back->trees()[i].tree);
   }
+  std::ostringstream again;
+  ASSERT_TRUE(back->SerializeTo(&again).ok());
+  EXPECT_EQ(again.str(), os.str());
 }
 
 TEST(StructureModelTest, RoundTripPreservesDiscretizedEncoders) {
   Fixture f;
   StructureModel sm = StructureModel::FromAuditModel(f.model, f.table.schema());
-  // The Z attribute (numeric class) must have a discretized encoder if it
-  // produced rules.
+  // The Z attribute (numeric class) has a discretized encoder.
   std::ostringstream os;
   ASSERT_TRUE(sm.SerializeTo(&os).ok());
   std::istringstream is(os.str());
   auto back = StructureModel::Deserialize(f.table.schema(), &is);
   ASSERT_TRUE(back.ok());
-  for (const AttributeRuleSet& set : back->rule_sets()) {
-    if (set.class_attr == 2) {
-      EXPECT_TRUE(set.encoder.is_discretized());
-      EXPECT_GT(set.encoder.num_classes(), 1);
+  bool seen = false;
+  for (const AttributeTree& at : back->trees()) {
+    if (at.class_attr == 2) {
+      seen = true;
+      EXPECT_TRUE(at.encoder.is_discretized());
+      EXPECT_GT(at.encoder.num_classes(), 1);
     }
   }
+  EXPECT_TRUE(seen);
 }
 
 TEST(StructureModelTest, FileRoundTrip) {
@@ -284,64 +289,54 @@ TEST(StructureModelTest, FileRoundTrip) {
 
 TEST(StructureModelTest, DeserializeRejectsGarbage) {
   Schema s = ModelSchema();
-  {
-    std::istringstream is("not a model\n");
-    EXPECT_FALSE(StructureModel::Deserialize(s, &is).ok());
-  }
-  {
-    std::istringstream is("dqmodel v1\nbogus tag\nend\n");
-    EXPECT_FALSE(StructureModel::Deserialize(s, &is).ok());
-  }
-  {
-    // Missing 'end'.
-    std::istringstream is("dqmodel v1\nattrset 0 nominal\n");
-    EXPECT_FALSE(StructureModel::Deserialize(s, &is).ok());
-  }
-  {
-    // Rule before any attrset.
-    std::istringstream is(
-        "dqmodel v1\nrule 0 10 1 0.5 counts 3 10 0 0 conds 0\nend\n");
-    EXPECT_FALSE(StructureModel::Deserialize(s, &is).ok());
-  }
-  {
-    // Class-count arity mismatch (X has 3 categories).
-    std::istringstream is(
-        "dqmodel v1\nattrset 0 nominal\n"
-        "rule 0 10 1 0.5 counts 2 10 0 conds 0\nend\n");
-    EXPECT_FALSE(StructureModel::Deserialize(s, &is).ok());
-  }
-  {
-    // Attribute index out of range in a condition.
-    std::istringstream is(
-        "dqmodel v1\nattrset 0 nominal\n"
-        "rule 0 10 1 0.5 counts 3 10 0 0 conds 1\ncond 9 cat 0\nend\n");
-    EXPECT_FALSE(StructureModel::Deserialize(s, &is).ok());
-  }
+  ASSERT_TRUE(ParseModel(s, kMinimalModel).ok());
+  EXPECT_FALSE(ParseModel(s, "not a model\n").ok());
+  EXPECT_FALSE(ParseModel(s, "dqmodel v2\nbogus tag\nend\n").ok());
+  // Missing 'end'.
+  EXPECT_FALSE(ParseModel(s, MinimalModelWith(9, "")).ok());
+  // Node before any attrset.
+  EXPECT_FALSE(ParseModel(s, "dqmodel v2\nnode leaf 0\nend\n").ok());
+  // An attrset without its tree.
+  EXPECT_FALSE(ParseModel(s, "dqmodel v2\nattrset 1 nominal\nend\n").ok());
+  // Fewer node lines than announced.
+  EXPECT_FALSE(ParseModel(s, MinimalModelWith(2, "tree 5 2")).ok());
+}
+
+TEST(StructureModelTest, RejectsV1ModelsWithAResaveHint) {
+  // v1 stored rule text without branch weights, so it cannot reproduce
+  // the fractional routing of nulls; it is refused, not misread.
+  const auto sm = ParseModel(ModelSchema(),
+                             "dqmodel v1\n"
+                             "attrset 1 nominal\n"
+                             "rule 1 100 0.99 0.5 counts 3 1 99 0 conds 1\n"
+                             "cond 0 cat 0\n"
+                             "end\n");
+  ASSERT_FALSE(sm.ok());
+  EXPECT_NE(sm.status().message().find("dqmodel v1"), std::string::npos)
+      << sm.status();
+  EXPECT_NE(sm.status().message().find("re-save"), std::string::npos)
+      << sm.status();
 }
 
 TEST(StructureModelTest, MinimalHandAuthoredModel) {
   Schema s = ModelSchema();
-  std::istringstream is(
-      "dqmodel v1\n"
-      "attrset 1 nominal\n"
-      "rule 1 100 0.99 0.5 counts 3 1 99 0 conds 1\n"
-      "cond 0 cat 0\n"
-      "end\n");
-  auto sm = StructureModel::Deserialize(s, &is);
+  auto sm = ParseModel(s, kMinimalModel);
   ASSERT_TRUE(sm.ok()) << sm.status();
-  ASSERT_EQ(sm->TotalRules(), 1u);
+  ASSERT_EQ(sm->TotalRules(), 1u);  // the empty leaf is no rule
 
-  // A record matching the rule with a deviating Y is flagged.
   Table t(s);
   ASSERT_TRUE(t.AppendRow({Value::Nominal(0), Value::Nominal(0),
                            Value::Numeric(1.0)})
-                  .ok());  // deviates (rule says Y=y1)
+                  .ok());  // deviates (the leaf says Y=y1)
   ASSERT_TRUE(t.AppendRow({Value::Nominal(0), Value::Nominal(1),
                            Value::Numeric(1.0)})
                   .ok());  // conforms
-  ASSERT_TRUE(t.AppendRow({Value::Nominal(2), Value::Nominal(0),
+  ASSERT_TRUE(t.AppendRow({Value::Nominal(2), Value::Nominal(1),
                            Value::Numeric(1.0)})
-                  .ok());  // rule does not apply
+                  .ok());  // empty leaf: no training support
+  ASSERT_TRUE(t.AppendRow({Value::Null(), Value::Nominal(0),
+                           Value::Numeric(1.0)})
+                  .ok());  // null X forks by the branch weights: all x0
   AuditorConfig config;
   config.min_error_confidence = 0.8;
   auto report = sm->Check(t, config);
@@ -349,47 +344,9 @@ TEST(StructureModelTest, MinimalHandAuthoredModel) {
   EXPECT_TRUE(report->IsFlagged(0));
   EXPECT_FALSE(report->IsFlagged(1));
   EXPECT_FALSE(report->IsFlagged(2));
+  EXPECT_TRUE(report->IsFlagged(3));
+  EXPECT_EQ(report->record_confidence[3], report->record_confidence[0]);
   EXPECT_EQ(report->suspicious[0].suggestion.nominal_code(), 1);
-}
-
-TEST(StructureModelTest, NullPathValueMatchesNoRule) {
-  Fixture f;
-  StructureModel sm = StructureModel::FromAuditModel(f.model, f.table.schema());
-  Table t(f.table.schema());
-  ASSERT_TRUE(
-      t.AppendRow({Value::Null(), Value::Nominal(0), Value::Numeric(5.0)})
-          .ok());
-  auto report = sm.Check(t, f.config);
-  ASSERT_TRUE(report.ok());
-  // The Y rules condition on X; with X null no rule matches, so the only
-  // possible flags come from other attribute models.
-  for (const Suspicion& s : report->suspicious) {
-    EXPECT_NE(s.attr, 1);
-  }
-}
-
-TEST(StructureModelTest, DropUselessShrinksButLosesPureLeafDetection) {
-  // The sec. 5.4 reduction removes zero-expErrorConf (pure) leaves: the
-  // model shrinks, but a *new* record deviating inside a pure partition is
-  // no longer caught — the reason keep-all is the checking default. Train
-  // on pristine data so every Y leaf is pure.
-  Fixture f(3000, /*errors=*/0, 61);
-  StructureModel full =
-      StructureModel::FromAuditModel(f.model, f.table.schema(), false);
-  StructureModel reduced =
-      StructureModel::FromAuditModel(f.model, f.table.schema(), true);
-  EXPECT_LT(reduced.TotalRules(), full.TotalRules());
-
-  Row row(3);
-  row[0] = Value::Nominal(1);
-  row[1] = Value::Nominal(0);  // violates Y == X
-  row[2] = Value::Numeric(31.0);
-  const Schema& schema = f.table.schema();
-  const AuditReport full_report = CheckOne(full, schema, row, f.config);
-  EXPECT_TRUE(full_report.IsFlagged(0));
-  const AuditReport reduced_report = CheckOne(reduced, schema, row, f.config);
-  EXPECT_LT(reduced_report.record_confidence[0],
-            full_report.record_confidence[0]);
 }
 
 TEST(StructureModelTest, CheckRecordMatchesBatchCheck) {
@@ -432,75 +389,105 @@ TEST(StructureModelTest, CheckRecordOnDeviatingRecord) {
   ASSERT_EQ(report.suspicious.size(), 1u);
 }
 
-// --- Compiled-tree checker vs the rule-scan oracle --------------------------
+// --- Save -> load -> check is the in-process audit --------------------------
 
-TEST(StructureModelTest, CheckEqualsRuleScanOnPollutedQuis) {
+TEST(StructureModelTest, SaveLoadCheckEqualsAuditOnPollutedQuis) {
   // QUIS mixes nominal, numeric and date attributes, so the trees hold
-  // category and threshold splits; the pollution adds nulls on split
-  // attributes and values the training data never paired.
+  // category and threshold splits. The audited table adds nulls on split
+  // attributes (C4.5's fractional routing), values the training data
+  // never paired, and nominal codes no category split has a child for.
   QuisConfig quis;
   quis.num_records = 3000;
   quis.seed = 23;
   auto sample = GenerateQuisSample(quis);
   ASSERT_TRUE(sample.ok());
   const Table& train = sample->table;
-  Auditor auditor(Fixture::MakeConfig());
-  auto model = auditor.Induce(train);
-  ASSERT_TRUE(model.ok());
-  const StructureModel sm =
-      StructureModel::FromAuditModel(*model, train.schema());
-  ASSERT_GT(sm.TotalRules(), 20u);
+  const Schema& schema = train.schema();
+  Table data = Polluted(train, 0.15, 5);
+  Rng rng(17);
+  size_t unseen = 0;
+  for (size_t r = 0; r < data.num_rows(); r += 29) {
+    const auto a = static_cast<size_t>(rng.UniformInt(
+        0, static_cast<int64_t>(data.num_attributes()) - 1));
+    if (schema.attribute(a).type != DataType::kNominal) continue;
+    const auto domain =
+        static_cast<int32_t>(schema.attribute(a).categories.size());
+    data.SetCell(r, a, Value::Nominal(domain + static_cast<int32_t>(r % 3)));
+    ++unseen;
+  }
+  ASSERT_GT(unseen, 10u);
 
-  std::ostringstream os;
-  ASSERT_TRUE(sm.SerializeTo(&os).ok());
-  auto loaded = ParseModel(train.schema(), os.str());
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-
-  const Table data = Polluted(train, 0.15, 5);
-  for (int threads : {1, 4}) {
+  for (double min_conf : {0.5, 0.8}) {
     AuditorConfig config = Fixture::MakeConfig();
-    config.num_threads = threads;
-    const AuditReport oracle = RuleScanOracle(sm, data, config);
-    ASSERT_GT(oracle.suspicious.size(), 0u);
-    auto compiled = sm.Check(data, config);
-    ASSERT_TRUE(compiled.ok());
-    ExpectSameReport(oracle, *compiled);
-    auto reloaded = loaded->Check(data, config);
-    ASSERT_TRUE(reloaded.ok());
-    ExpectSameReport(oracle, *reloaded);
-    // The null-flagging policy reaches the walk unchanged.
-    config.flag_null_values = false;
-    auto no_nulls = sm.Check(data, config);
-    ASSERT_TRUE(no_nulls.ok());
-    ExpectSameReport(RuleScanOracle(sm, data, config), *no_nulls);
+    config.min_error_confidence = min_conf;
+    Auditor auditor(config);
+    auto model = auditor.Induce(train);
+    ASSERT_TRUE(model.ok());
+    std::ostringstream os;
+    ASSERT_TRUE(
+        StructureModel::FromAuditModel(*model, schema).SerializeTo(&os).ok());
+    auto loaded = ParseModel(schema, os.str());
+    ASSERT_TRUE(loaded.ok()) << loaded.status();
+    ASSERT_GT(loaded->TotalRules(), 20u);
+
+    for (int threads : {1, 4}) {
+      for (bool flag_nulls : {true, false}) {
+        SCOPED_TRACE("min_conf " + std::to_string(min_conf) + " threads " +
+                     std::to_string(threads) +
+                     (flag_nulls ? " flagging nulls" : ""));
+        config.num_threads = threads;
+        config.flag_null_values = flag_nulls;
+        auto audited = Auditor(config).Audit(*model, data);
+        ASSERT_TRUE(audited.ok());
+        ASSERT_GT(audited->suspicious.size(), 0u);
+        auto checked = loaded->Check(data, config);
+        ASSERT_TRUE(checked.ok());
+        ExpectSameReport(*audited, *checked);
+
+        // Not vacuous: flagged records whose winning tree forks them on a
+        // null, i.e. records a model without branch weights would score
+        // differently.
+        const std::vector<ColumnSpan> columns = ColumnSpans(data);
+        size_t forked = 0;
+        for (const Suspicion& s : audited->suspicious) {
+          for (const AttributeModel& am : model->models()) {
+            if (am.class_attr != s.attr) continue;
+            const auto& tree = dynamic_cast<const C45Tree&>(*am.classifier);
+            if (tree.flat().Find(TableRecord{columns.data(), s.row}) ==
+                FlatTree::kFork) {
+              ++forked;
+            }
+          }
+        }
+        EXPECT_GT(forked, 0u);
+      }
+    }
   }
 }
 
-TEST(StructureModelTest, CheckEqualsRuleScanWithDroppedLeaves) {
-  // drop_useless removes leaves, leaving category children and threshold
-  // sides with no rule below them: those records must match nothing.
-  Fixture f(3000, 20, 62);
-  const StructureModel reduced =
-      StructureModel::FromAuditModel(f.model, f.table.schema(), true);
-  const Table data = Polluted(f.table, 0.2, 9);
-  const AuditReport oracle = RuleScanOracle(reduced, data, f.config);
-  auto compiled = reduced.Check(data, f.config);
-  ASSERT_TRUE(compiled.ok());
-  ExpectSameReport(oracle, *compiled);
-}
-
 TEST(StructureModelTest, EqualConfidenceGoesToTheFirstAttributeModel) {
-  // Both rules apply to (X=x0, Y=y0) and dissent with the same confidence;
-  // Definition 8's maximum keeps the first model's verdict on a tie.
+  // Both trees send (X=x0, Y=y0) to a leaf that dissents with the same
+  // confidence; Definition 8's maximum keeps the first model's verdict on
+  // a tie.
   const Schema s = ModelSchema();
   auto sm = ParseModel(s,
-                       "dqmodel v1\n"
+                       "dqmodel v2\n"
                        "attrset 0 nominal\n"
-                       "rule 1 100 0.99 0.5 counts 3 1 99 0 conds 1\n"
-                       "cond 1 cat 0\n"
+                       "tree 4 2\n"
+                       "node cat 1 3 100 100 1 0 2 0 3\n"
+                       "node leaf 0\n"
+                       "node leaf 1\n"
+                       "node leaf 1\n"
+                       "leaf 1 100 0.5 3 1 99 0\n"
+                       "leaf 0 0 0 3 0 0 0\n"
                        "attrset 1 nominal\n"
-                       "rule 1 100 0.99 0.5 counts 3 1 99 0 conds 1\n"
-                       "cond 0 cat 0\n"
+                       "tree 4 2\n"
+                       "node cat 0 3 100 100 1 0 2 0 3\n"
+                       "node leaf 0\n"
+                       "node leaf 1\n"
+                       "node leaf 1\n"
+                       "leaf 1 100 0.5 3 1 99 0\n"
+                       "leaf 0 0 0 3 0 0 0\n"
                        "end\n");
   ASSERT_TRUE(sm.ok()) << sm.status();
   const AuditReport report =
@@ -530,91 +517,123 @@ TEST(StructureModelTest, CheckRejectsTableOfAnotherSchema) {
 
 // --- Reader hardening -------------------------------------------------------
 
-TEST(StructureModelTest, RejectsRuleSetsThatAreNotOneTree) {
+TEST(StructureModelTest, RejectsNodeTablesThatAreNotOneTree) {
   const Schema s = ModelSchema();
-  const std::string head = "dqmodel v1\nattrset 1 nominal\n";
-  const std::string rule = "rule 1 100 0.99 0.5 counts 3 1 99 0 conds ";
   struct Case {
     const char* what;
-    std::string body;
+    std::string model;
     const char* line;    // the line the error must name
     const char* reason;  // and what it must say
   };
   const std::vector<Case> cases = {
-      {"split on another attribute under the same prefix",
-       rule + "1\ncond 0 cat 0\n" + rule + "1\ncond 2 le 50\n", "line 5",
-       "splits differently"},
-      {"threshold disagreeing with the sibling rule",
-       rule + "1\ncond 2 le 50\n" + rule + "1\ncond 2 gt 40\n", "line 5",
-       "splits differently"},
-      {"category split against a threshold split",
-       rule + "2\ncond 2 le 50\ncond 0 cat 1\n" + rule +
-           "2\ncond 2 le 50\ncond 2 le 20\n",
-       "line 6", "splits differently"},
-      {"rule ending at an inner node",
-       rule + "2\ncond 0 cat 0\ncond 2 le 10\n" + rule + "1\ncond 0 cat 0\n",
-       "line 6", "inner node"},
-      {"rule extending past a leaf",
-       rule + "1\ncond 0 cat 0\n" + rule + "2\ncond 0 cat 0\ncond 2 le 10\n",
-       "line 5", "extends a path"},
-      {"duplicate leaf", rule + "0\n" + rule + "0\n", "line 4",
-       "duplicate leaf"},
+      {"a split pointing at itself",
+       MinimalModelWith(3, "node cat 0 3 100 100 0 0 2 0 3"), "line 4",
+       "does not follow its parent"},
+      {"a split pointing back at an earlier node",
+       "dqmodel v2\nattrset 1 nominal\ntree 4 1\n"
+       "node le 2 50 10 5 1 5 2\n"
+       "node le 2 20 10 5 0 5 3\n"
+       "node leaf 0\nnode leaf 0\n"
+       "leaf 1 10 0 3 0 10 0\nend\n",
+       "line 5", "does not follow its parent"},
+      {"a child index past the node count",
+       MinimalModelWith(3, "node cat 0 3 100 100 1 0 2 0 4"), "line 4",
+       "does not follow its parent"},
+      {"a node with two parents",
+       MinimalModelWith(3, "node cat 0 3 100 100 1 0 2 0 2"), "line 4",
+       "two parents"},
+      {"an unreachable node",
+       "dqmodel v2\nattrset 1 nominal\ntree 4 1\n"
+       "node le 2 50 10 5 1 5 2\n"
+       "node leaf 0\nnode leaf 0\nnode leaf 0\n"
+       "leaf 1 10 0 3 0 10 0\nend\n",
+       "line 7", "node 3 is unreachable"},
+      {"a leaf index past the leaf table", MinimalModelWith(4, "node leaf 2"),
+       "line 5", "leaf index out of range"},
   };
   for (const Case& c : cases) {
-    auto sm = ParseModel(s, head + c.body + "end\n");
+    auto sm = ParseModel(s, c.model);
     ASSERT_FALSE(sm.ok()) << c.what;
     const std::string& message = sm.status().message();
     EXPECT_NE(message.find(c.line), std::string::npos)
         << c.what << ": " << sm.status();
-    EXPECT_NE(message.find("not a decision tree"), std::string::npos)
-        << c.what << ": " << sm.status();
     EXPECT_NE(message.find(c.reason), std::string::npos)
         << c.what << ": " << sm.status();
   }
-  // The same conditions in a consistent tree load fine.
-  auto ok = ParseModel(s, head + rule + "1\ncond 2 le 50\n" + rule +
-                              "1\ncond 2 gt 50\nend\n");
-  EXPECT_TRUE(ok.ok()) << ok.status();
+
+  // A chain of threshold splits: its depth is bounded by the reader, since
+  // the fork walk recurses once per level.
+  const auto chain = [](size_t splits) {
+    std::string text = "dqmodel v2\nattrset 1 nominal\ntree " +
+                       std::to_string(2 * splits + 1) + " 1\n";
+    for (size_t k = 0; k < splits; ++k) {
+      text += "node le 2 50 2 1 " + std::to_string(2 * k + 1) + " 1 " +
+              std::to_string(2 * k + 2) + "\nnode leaf 0\n";
+    }
+    return text + "node leaf 0\nleaf 1 10 0 3 0 10 0\nend\n";
+  };
+  EXPECT_TRUE(ParseModel(s, chain(1000)).ok());
+  auto deep = ParseModel(s, chain(5000));
+  ASSERT_FALSE(deep.ok());
+  EXPECT_NE(deep.status().message().find("deeper than"), std::string::npos)
+      << deep.status();
 }
 
 TEST(StructureModelTest, RejectsOutOfDomainFields) {
   const Schema s = ModelSchema();
-  const std::string head = "dqmodel v1\nattrset 1 nominal\n";
-  const std::vector<std::pair<const char*, std::string>> cases = {
-      {"majority class past the class count",
-       "rule 3 100 0.99 0.5 counts 3 1 99 0 conds 0\n"},
-      {"negative majority class",
-       "rule -1 100 0.99 0.5 counts 3 1 99 0 conds 0\n"},
-      {"category outside the domain",
-       "rule 1 100 0.99 0.5 counts 3 1 99 0 conds 1\ncond 0 cat 3\n"},
-      {"negative category",
-       "rule 1 100 0.99 0.5 counts 3 1 99 0 conds 1\ncond 0 cat -1\n"},
-      {"category split on a numeric attribute",
-       "rule 1 100 0.99 0.5 counts 3 1 99 0 conds 1\ncond 2 cat 0\n"},
-      {"threshold split on a nominal attribute",
-       "rule 1 100 0.99 0.5 counts 3 1 99 0 conds 1\ncond 0 le 1\n"},
-      {"non-finite threshold",
-       "rule 1 100 0.99 0.5 counts 3 1 99 0 conds 1\ncond 2 le nan\n"},
-      {"non-finite support", "rule 1 inf 0.99 0.5 counts 3 1 99 0 conds 0\n"},
-      {"inflated class count",
-       "rule 1 100 0.99 0.5 counts 99999999999 1 99 0 conds 0\n"},
-      {"count past size_t", "rule 1 100 0.99 0.5 counts "
-                            "999999999999999999999999 1 99 0 conds 0\n"},
-      {"inflated condition count",
-       "rule 1 100 0.99 0.5 counts 3 1 99 0 conds 99999999999\n"},
-      {"trailing data on a rule line",
-       "rule 1 100 0.99 0.5 counts 3 1 99 0 conds 0 x\n"},
+  // Line numbers of kMinimalModel (from 0): 2 tree, 3 the split, 4-6 the
+  // leaf nodes, 7-8 the leaf table.
+  const std::vector<std::tuple<const char*, size_t, std::string, const char*>> cases = {
+      {"majority class past the class count", 7, "leaf 3 100 0.5 3 1 99 0", "majority class out of range"},
+      {"negative majority class", 7, "leaf -1 100 0.5 3 1 99 0", "majority class out of range"},
+      {"class-count arity mismatch", 7, "leaf 1 100 0.5 2 1 99", "class count arity mismatch"},
+      {"negative class count", 7, "leaf 1 100 0.5 3 -1 99 0", "negative class count"},
+      {"negative leaf weight", 7, "leaf 1 -100 0.5 3 1 99 0", "negative leaf weight"},
+      {"non-finite leaf weight", 7, "leaf 1 inf 0.5 3 1 99 0", "malformed leaf"},
+      {"non-finite expected error confidence", 7,
+       "leaf 1 100 nan 3 1 99 0", "malformed leaf"},
+      {"inflated class count", 7, "leaf 1 100 0.5 99999999999 1 99 0", "malformed leaf"},
+      {"count past size_t", 7,
+       "leaf 1 100 0.5 999999999999999999999999 1 99 0", "malformed leaf"},
+      {"trailing data on a leaf line", 7, "leaf 1 100 0.5 3 1 99 0 x", "malformed leaf"},
+      {"split attribute out of range", 3, "node cat 9 3 100 100 1 0 2 0 3", "split attribute out of range"},
+      {"negative split attribute", 3, "node cat -1 3 100 100 1 0 2 0 3", "split attribute out of range"},
+      {"category split on a numeric attribute", 3,
+       "node cat 2 3 100 100 1 0 2 0 3", "category split on ordered"},
+      {"category arity other than the domain's", 3,
+       "node cat 0 2 100 100 1 0 2", "arity differs from the domain"},
+      {"threshold split on a nominal attribute", 3,
+       "node le 0 1 100 100 1 0 2", "threshold split on nominal"},
+      {"non-finite threshold", 3, "node le 2 nan 100 100 1 0 2", "malformed threshold"},
+      {"negative known weight", 3, "node cat 0 3 -1 100 1 0 2 0 3", "malformed known weight"},
+      {"negative branch weight", 3, "node cat 0 3 100 -100 1 0 2 0 3", "malformed branch"},
+      {"non-finite branch weight", 3, "node cat 0 3 100 inf 1 0 2 0 3", "malformed branch"},
+      {"negative child index", 3, "node cat 0 3 100 100 -1 0 2 0 3", "malformed branch"},
+      {"trailing data on a node line", 3,
+       "node cat 0 3 100 100 1 0 2 0 3 7", "trailing data"},
+      {"unknown node kind", 3, "node gt 2 1 100 100 1 0 2", "unknown node kind"},
+      {"negative leaf index", 4, "node leaf -1", "leaf index out of range"},
+      {"inflated node count", 2, "tree 99999999999 2", "exceeds the remaining input"},
+      {"inflated leaf count", 2, "tree 4 99999999999", "exceeds the remaining input"},
+      {"empty tree", 2, "tree 0 0", "empty tree"},
+      {"class attribute out of range", 1, "attrset 7 nominal", "out of range"},
   };
-  for (const auto& [what, body] : cases) {
-    auto sm = ParseModel(s, head + body + "end\n");
-    EXPECT_FALSE(sm.ok()) << what;
+  for (const auto& [what, line, with, reason] : cases) {
+    auto sm = ParseModel(s, MinimalModelWith(line, with));
+    ASSERT_FALSE(sm.ok()) << what;
+    EXPECT_NE(sm.status().message().find(
+                  "line " + std::to_string(line + 1) + ": "),
+              std::string::npos)
+        << what << ": " << sm.status();
+    EXPECT_NE(sm.status().message().find(reason), std::string::npos)
+        << what << ": " << sm.status();
   }
   // Inflated discretizer counts on an attrset line.
   EXPECT_FALSE(
-      ParseModel(s, "dqmodel v1\nattrset 2 discretized 99999999999 1 2 3\nend\n")
+      ParseModel(s, "dqmodel v2\nattrset 2 discretized 99999999999 1 2 3\nend\n")
           .ok());
   EXPECT_FALSE(
-      ParseModel(s, "dqmodel v1\nattrset 2 discretized 1 5 99999999999 1 2\nend\n")
+      ParseModel(s, "dqmodel v2\nattrset 2 discretized 1 5 99999999999 1 2\nend\n")
           .ok());
 }
 
